@@ -35,7 +35,7 @@ from itertools import combinations_with_replacement
 from typing import Mapping, Sequence
 
 from .errors import DomainError, SpanError, StructuralError, TableMismatchError
-from .linalg import SpanSolver
+from .linalg import Echelon
 from .poly import Poly, grlex_key
 from .rationals import format_rational
 from .vartable import VarTable, table
@@ -124,17 +124,6 @@ def reeb_field(n: int) -> VField:
     tab = base_table(n)
     comps = [Poly.zero(tab)] * (2 * n) + [Poly.constant(tab, -2)]
     return VField(tab, comps)
-
-
-def spatial_euler_field(n: int) -> VField:
-    tab = base_table(n)
-    comps = [Poly.variable(tab, a) for a in range(2 * n)] + [Poly.zero(tab)]
-    return VField(tab, comps)
-
-
-def full_euler_field(n: int) -> VField:
-    tab = base_table(n)
-    return VField(tab, [Poly.variable(tab, a) for a in range(2 * n + 1)])
 
 
 def contact_hamiltonian(h: Poly, n: int) -> VField:
@@ -254,7 +243,7 @@ class SpBasis:
         add("t", {"t": k})
 
         self.index = {g.label: a for a, g in enumerate(self.generators)}
-        self._span_solver = None
+        self._span = None
         self._structure = None
         self._ad = None
 
@@ -281,23 +270,48 @@ class SpBasis:
 
     # -- coordinates of fields in the generator span -----------------------
 
-    def _field_vector(self, x: VField) -> list[Fraction]:
-        monos = _component_monomials(self.n)
-        vec = []
-        for a in range(self.table.base_size):
-            comp = x.components[a]
-            vec.extend(comp.terms.get(m, Fraction(0)) for m in monos)
+    def _field_vector(self, x: VField) -> dict[int, Fraction]:
+        """Sparse coefficients of x: column a * M + i holds monomial i of component a.
+
+        M is the number of base monomials of degree <= 2.
+        """
+        index = _component_index(self.n)
+        vec = {}
+        for a, comp in enumerate(x.components):
+            for mono, c in comp.terms.items():
+                if mono not in index:
+                    raise SpanError("field has a component of degree above 2")
+                vec[a * len(index) + index[mono]] = c
         return vec
 
-    def _solver(self) -> SpanSolver:
-        if self._span_solver is None:
-            cols = [self._field_vector(g.field) for g in self.generators]
-            self._span_solver = SpanSolver(cols)
-        return self._span_solver
+    def _span_echelon(self) -> tuple[Echelon, int]:
+        """Generator vectors, generator j tagged by a 1 in column m + j.
+
+        Returns the echelon form and m, the number of field columns.
+        """
+        m = self.table.base_size * len(_component_index(self.n))
+        if self._span is None:
+            span = Echelon()
+            for j, gen in enumerate(self.generators):
+                row = self._field_vector(gen.field)
+                row[m + j] = Fraction(1)
+                if span.add_row(row) >= m:
+                    raise SpanError("basis fields are linearly dependent")
+            self._span = span
+        return self._span, m
 
     def coordinates(self, x: VField) -> list[Fraction]:
-        """Coefficients of x in the generator basis; SpanError if outside."""
-        return self._solver().solve(self._field_vector(x))
+        """Coefficients of x in the generator basis; SpanError if outside.
+
+        The residual of x modulo the tagged generators is exactly
+        -sum_j x_j e_{m+j} when x lies in the span, and has a field column
+        (< m) otherwise.
+        """
+        span, m = self._span_echelon()
+        residual = span.reduce(self._field_vector(x))
+        if any(c < m for c in residual):
+            raise SpanError("target vector lies outside the span")
+        return [-residual.get(m + j, Fraction(0)) for j in range(self.dim)]
 
     def element_vector(self, elem) -> list[Fraction]:
         """Coerce a label, {label: coeff} mapping, or VField to coordinates."""
@@ -437,8 +451,11 @@ def _label_poly(tab: VarTable, label: str) -> Poly:
 
 
 @lru_cache(maxsize=None)
-def _component_monomials(n: int) -> tuple:
-    """All base monomials of degree <= 2, graded-lex (field components live here)."""
+def _component_index(n: int) -> dict:
+    """Position of each base monomial of degree <= 2 in graded-lex order.
+
+    Components of sp fields are combinations of exactly these monomials.
+    """
     tab = base_table(n)
     monos = []
     size = tab.size
@@ -453,7 +470,7 @@ def _component_monomials(n: int) -> tuple:
             current.pop()
 
     rec(0, 2, [])
-    return tuple(sorted(monos, key=grlex_key))
+    return {mono: i for i, mono in enumerate(sorted(monos, key=grlex_key))}
 
 
 def _verify_closed_forms(basis: SpBasis):

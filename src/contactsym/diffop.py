@@ -175,10 +175,6 @@ class DiffOp:
     def order(self) -> int:
         return max((sum(m) for m in self.terms), default=0)
 
-    def order_on(self, indices) -> int:
-        idx = tuple(indices)
-        return max((sum(m[i] for i in idx) for m in self.terms), default=0)
-
     def __str__(self):
         if not self.terms:
             return "0"

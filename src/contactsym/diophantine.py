@@ -33,6 +33,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import DomainError, SingularSystemError
+from .linalg import rank
 from .rationals import format_rational
 from .spectra import require_noncritical
 
@@ -275,8 +276,8 @@ def kappa4_consistency(instance: DioInstance) -> dict:
     mat = [[Fraction(2 * n1 * rows[j][0]), Fraction(-2 * n1 * rows[j][1])]
            for j in sorted(rows)]
     vec = [Fraction(rhs[j]) for j in sorted(rows)]
-    rank_m = _rank2(mat)
-    rank_aug = _rank2([row + [v] for row, v in zip(mat, vec)])
+    rank_m = rank(mat, 2)
+    rank_aug = rank([row + [v] for row, v in zip(mat, vec)], 3)
     return {
         "kappa": len(instance.blocks),
         "dependence": dependence,
@@ -285,20 +286,3 @@ def kappa4_consistency(instance: DioInstance) -> dict:
         "system_consistent": rank_aug == rank_m,
     }
 
-
-def _rank2(rows) -> int:
-    work = [list(map(Fraction, r)) for r in rows]
-    ncols = len(work[0]) if work else 0
-    rank = 0
-    for c in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][c]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        prow = work[rank]
-        for i in range(len(work)):
-            if i != rank and work[i][c]:
-                f = work[i][c] / prow[c]
-                work[i] = [x - f * y for x, y in zip(work[i], prow)]
-        rank += 1
-    return rank

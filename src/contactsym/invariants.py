@@ -32,7 +32,7 @@ from typing import Optional
 from .contact import sp_basis
 from .enumeration import exponents_of_degree, exponents_up_to
 from .errors import DomainError
-from .linalg import exact_nullspace, sparse_nullspace
+from .linalg import Echelon, sparse_nullspace
 from .poly import Poly, grlex_key
 from .rationals import format_rational
 from .symbols import SModule, SymbolElem, lie_action_symbol, weight_unit
@@ -146,19 +146,17 @@ def classical_product(n: int, exponents) -> SymbolElem:
 
 def monomial_basis_classical(n: int, k: int, m: int, l: int, nu,
                              contact_only: bool = False):
-    """One classical product per solution; asserted independent by exact rank."""
+    """One classical product per solution; asserted independent exactly."""
     sols = s1_solutions(n, k, m, l, nu, contact_only)
     mod = SModule(n, k, m, l, Fraction(nu))
     elems = []
+    span = Echelon()
     for sol in sols:
         prod = classical_product(n, sol)
-        elems.append(SymbolElem(prod.poly.convert(mod.table), mod))
-    if elems:
-        monos = sorted({exp for el in elems for exp in el.poly.terms}, key=grlex_key)
-        cols = [[el.poly.terms.get(exp, Fraction(0)) for exp in monos] for el in elems]
-        matrix = [[col[i] for col in cols] for i in range(len(monos))]
-        if len(exact_nullspace(matrix, len(elems))) != 0:
+        elem = SymbolElem(prod.poly.convert(mod.table), mod)
+        if span.add_row(elem.poly.terms) is None:
             raise DomainError("classical products are linearly dependent")
+        elems.append(elem)
     return elems
 
 

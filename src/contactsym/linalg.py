@@ -1,21 +1,20 @@
-"""Exact rational linear algebra: nullspaces and solves.
+"""Exact rational linear algebra: one sparse row-echelon engine.
 
-The dense kernel routine uses fraction-free Bareiss elimination on integer
-rows (each input row is scaled by its denominator lcm first), with exact
-pivoting by first nonzero entry; no magnitude heuristics are needed over
-exact arithmetic.  Kernel vectors are normalized so that each free column
-carries coefficient 1, which makes bases deterministic.
+Every kernel, rank, span solve and independence test in the package goes
+through Echelon.  Rows are sparse dicts {column: Fraction}.  Each stored
+row is normalized to 1 at its pivot, which is its smallest column, and
+carries no other pivot column.  This reduced echelon form is unique, so
+kernel bases (one vector per free column, normalized to 1 there) do not
+depend on the order in which rows arrive.
 
-A sparse variant with the same contract backs the big invariant-equation
-solvers, where rows are dicts {column: Fraction} and almost all entries
-vanish.
+exact_nullspace, sparse_nullspace and rank are thin entry points for dense
+and sparse row lists.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .errors import SpanError
 
@@ -23,202 +22,108 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _integerize(row: Sequence[Fraction]) -> list[int]:
-    den = 1
-    for c in row:
-        c = Fraction(c)
-        den = den * c.denominator // gcd(den, c.denominator)
-    out = []
-    for c in row:
-        c = Fraction(c)
-        out.append(c.numerator * (den // c.denominator))
-    return out
+class Echelon:
+    """Incrementally reduced row-echelon form over Q with sparse rows.
+
+    Columns are mutually comparable hashable keys, such as ints or
+    exponent tuples; nullspace needs int columns 0..ncols-1.
+    """
+
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: Iterable[Mapping] = ()):
+        self.rows: dict = {}  # pivot column -> row, 1 at the pivot
+        for row in rows:
+            self.add_row(row)
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row: Mapping) -> dict:
+        """Residual of row modulo the stored rows; it has no pivot column.
+
+        The residual is empty exactly when row lies in the span of the
+        stored rows.  Cancelling one pivot column adds only non-pivot
+        columns, since stored rows carry no pivot column besides their own,
+        so the pivot columns present can all be found up front.
+        """
+        out = {c: Fraction(v) for c, v in row.items() if v}
+        for hit in [c for c in out if c in self.rows]:
+            f = out[hit]
+            for c, v in self.rows[hit].items():
+                s = out.get(c, _ZERO) - f * v
+                if s:
+                    out[c] = s
+                else:
+                    del out[c]
+        return out
+
+    def add_row(self, row: Mapping):
+        """Insert row; return its new pivot column, or None if dependent."""
+        out = self.reduce(row)
+        if not out:
+            return None
+        lead = min(out)
+        inv = _ONE / out[lead]
+        out = {c: v * inv for c, v in out.items()}
+        # Keep older rows clean of the new pivot column.
+        for prow in self.rows.values():
+            f = prow.get(lead)
+            if f:
+                for c, v in out.items():
+                    s = prow.get(c, _ZERO) - f * v
+                    if s:
+                        prow[c] = s
+                    else:
+                        del prow[c]
+        self.rows[lead] = out
+        return lead
+
+    def nullspace(self, ncols: int) -> list[list[Fraction]]:
+        """Kernel basis over columns 0..ncols-1, one vector per free column."""
+        basis = []
+        for fc in range(ncols):
+            if fc in self.rows:
+                continue
+            v = [_ZERO] * ncols
+            v[fc] = _ONE
+            for pc, prow in self.rows.items():
+                coeff = prow.get(fc)
+                if coeff:
+                    v[pc] = -coeff
+            basis.append(v)
+        return basis
+
+
+def _dense_rows(matrix: Iterable[Sequence[Fraction]], ncols: int | None):
+    """Sparse rows of a dense matrix and its column count (first row's if None)."""
+    given = [list(r) for r in matrix]
+    if ncols is None and given:
+        ncols = len(given[0])
+    if any(len(r) != ncols for r in given):
+        raise SpanError("ragged matrix")
+    return [dict(enumerate(r)) for r in given], ncols
 
 
 def exact_nullspace(matrix: Iterable[Sequence[Fraction]], ncols: int | None = None):
-    """Exact basis of the right nullspace of a rational matrix.
+    """Exact basis of the right nullspace of a dense rational matrix.
 
     Returns a list of Fraction vectors v with M*v = 0, one per free column,
     normalized to 1 in the free coordinate.  An empty matrix (no rows) has
     the full space as kernel, so ncols must then be supplied.
     """
-    given = [list(r) for r in matrix]
+    rows, ncols = _dense_rows(matrix, ncols)
     if ncols is None:
-        if not given:
-            raise SpanError("cannot infer column count from an empty matrix")
-        ncols = len(given[0])
-    if any(len(r) != ncols for r in given):
-        raise SpanError("ragged matrix")
-    rows = [_integerize(r) for r in given if any(Fraction(c) for c in r)]
-
-    # Bareiss fraction-free elimination to row echelon form.
-    pivots: list[tuple[int, int]] = []  # (row, col)
-    prev = 1
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pr = rows[r]
-        for i in range(r + 1, len(rows)):
-            ri = rows[i]
-            if not any(ri[c:]):
-                continue
-            f = ri[c]
-            for j in range(c, ncols):
-                ri[j] = (pr[c] * ri[j] - f * pr[j]) // prev
-        prev = pr[c]
-        pivots.append((r, c))
-        r += 1
-        if r == len(rows):
-            break
-
-    pivot_cols = [c for _, c in pivots]
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = [_ZERO] * ncols
-        v[fc] = _ONE
-        # Back-substitute the echelon rows bottom-up.
-        for r, c in reversed(pivots):
-            row = rows[r]
-            s = sum((Fraction(row[j]) * v[j] for j in range(c + 1, ncols) if row[j]), _ZERO)
-            v[c] = -s / row[c]
-        basis.append(v)
-    return basis
+        raise SpanError("cannot infer column count from an empty matrix")
+    return Echelon(rows).nullspace(ncols)
 
 
-def sparse_nullspace(rows: Iterable[dict], ncols: int):
-    """Kernel basis for rows given as sparse {col: Fraction} dicts.
-
-    Same normalization as exact_nullspace.  Elimination keeps a reduced
-    pivot row per pivot column; pivoting is by smallest column index.
-    """
-    pivot_rows: dict[int, dict] = {}  # pivot col -> row, normalized to 1 there
-    for raw in rows:
-        row = {c: Fraction(v) for c, v in raw.items() if v}
-        # Cancel every pivot column present in the row (each step removes one
-        # pivot column and can only introduce non-pivot columns, since stored
-        # rows carry no pivot column besides their own).
-        while True:
-            hit = next((c for c in row if c in pivot_rows), None)
-            if hit is None:
-                break
-            f = row[hit]
-            for c, v in pivot_rows[hit].items():
-                s = row.get(c, _ZERO) - f * v
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-        if not row:
-            continue
-        lead = min(row)
-        inv = _ONE / row[lead]
-        row = {c: v * inv for c, v in row.items()}
-        # Keep older pivot rows clean of the new pivot column.
-        for prow in pivot_rows.values():
-            f = prow.get(lead)
-            if f:
-                for c, v in row.items():
-                    s = prow.get(c, _ZERO) - f * v
-                    if s:
-                        prow[c] = s
-                    else:
-                        prow.pop(c, None)
-        pivot_rows[lead] = row
-
-    pivot_cols = set(pivot_rows)
-    free_cols = [c for c in range(ncols) if c not in pivot_cols]
-    basis = []
-    for fc in free_cols:
-        v = {fc: _ONE}
-        for pc, prow in pivot_rows.items():
-            coeff = prow.get(fc)
-            if coeff:
-                v[pc] = -coeff
-        basis.append([v.get(c, _ZERO) for c in range(ncols)])
-    return basis
+def sparse_nullspace(rows: Iterable[Mapping], ncols: int):
+    """Kernel basis for rows given as sparse {col: Fraction} dicts."""
+    return Echelon(rows).nullspace(ncols)
 
 
 def rank(matrix: Iterable[Sequence[Fraction]], ncols: int | None = None) -> int:
-    rows = [list(map(Fraction, r)) for r in matrix]
-    if ncols is None:
-        ncols = len(rows[0]) if rows else 0
-    kernel_dim = len(exact_nullspace(rows, ncols)) if ncols else 0
-    return ncols - kernel_dim
-
-
-class SpanSolver:
-    """Repeated exact solves of B*x = v for a fixed full-column-rank B.
-
-    Picks an invertible square subsystem once via elimination, inverts it,
-    and verifies each candidate solution against the full matrix, raising
-    SpanError when v lies outside the column span.
-    """
-
-    def __init__(self, columns: Sequence[Sequence[Fraction]]):
-        # columns: list of column vectors, each of length m
-        self.ncols = len(columns)
-        if self.ncols == 0:
-            raise SpanError("empty basis")
-        self.m = len(columns[0])
-        self.cols = [list(map(Fraction, col)) for col in columns]
-        rows = [[self.cols[j][i] for j in range(self.ncols)] for i in range(self.m)]
-        chosen: list[int] = []
-        work: list[tuple[list[Fraction], int]] = []
-        for i, row in enumerate(rows):
-            red = list(row)
-            for wrow, _ in work:
-                lead = next(j for j in range(self.ncols) if wrow[j])
-                f = red[lead]
-                if f:
-                    for j in range(self.ncols):
-                        red[j] -= f * wrow[j]
-            lead = next((j for j in range(self.ncols) if red[j]), None)
-            if lead is None:
-                continue
-            inv = _ONE / red[lead]
-            red = [c * inv for c in red]
-            work.append((red, i))
-            chosen.append(i)
-            if len(chosen) == self.ncols:
-                break
-        if len(chosen) < self.ncols:
-            raise SpanError("basis columns are linearly dependent")
-        self.rows_idx = chosen
-        self.square = [[rows[i][j] for j in range(self.ncols)] for i in chosen]
-        self.inverse = _invert(self.square)
-
-    def solve(self, v: Sequence[Fraction]) -> list[Fraction]:
-        if len(v) != self.m:
-            raise SpanError("target length does not match span")
-        v = list(map(Fraction, v))
-        sub = [v[i] for i in self.rows_idx]
-        x = [sum((self.inverse[i][j] * sub[j] for j in range(self.ncols)), _ZERO)
-             for i in range(self.ncols)]
-        # Verify on all coordinates; detects vectors outside the span.
-        for i in range(self.m):
-            acc = sum((self.cols[j][i] * x[j] for j in range(self.ncols) if x[j]), _ZERO)
-            if acc != v[i]:
-                raise SpanError("target vector lies outside the span")
-        return x
-
-
-def _invert(a: list[list[Fraction]]) -> list[list[Fraction]]:
-    n = len(a)
-    aug = [list(map(Fraction, a[i])) + [ _ONE if j == i else _ZERO for j in range(n)]
-           for i in range(n)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c]), None)
-        if piv is None:
-            raise SpanError("singular matrix")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = _ONE / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    """Rank of a dense rational matrix."""
+    return Echelon(_dense_rows(matrix, ncols)[0]).rank

@@ -31,7 +31,7 @@ from .contact import SpBasis, sp_basis
 from .diffop import DiffOp
 from .enumeration import compositions_with_minimum, exponents_of_degree, exponents_up_to
 from .errors import DomainError, StructuralError
-from .linalg import sparse_nullspace
+from .linalg import Echelon, sparse_nullspace
 from .poly import Poly, grlex_key
 from .rationals import format_rational
 from .spectra import (  # re-exported as part of this module's surface
@@ -433,26 +433,12 @@ def classify_same_weight(
 
     # Reduce to terms with independent restricted actions (graded-lex first).
     slots: dict = {}
-    pivot_rows: dict = {}
+    restricted = Echelon()
     columns = []
     for key, coeff_exp, midx in terms:
         op = DiffOp(tab, {midx: Poly.monomial(tab, coeff_exp)})
-        vec = restriction_vector(op, l, slots)
-        while vec:
-            lead = min(vec)
-            piv = pivot_rows.get(lead)
-            if piv is None:
-                inv = Fraction(1) / vec[lead]
-                pivot_rows[lead] = {c: v * inv for c, v in vec.items()}
-                columns.append((key, coeff_exp, midx, op))
-                break
-            f = vec[lead]
-            for c, v in piv.items():
-                sv = vec.get(c, Fraction(0)) - f * v
-                if sv:
-                    vec[c] = sv
-                else:
-                    vec.pop(c, None)
+        if restricted.add_row(restriction_vector(op, l, slots)) is not None:
+            columns.append((key, coeff_exp, midx, op))
 
     basis = sp_basis(n)
     skip = {"1", "t"} | {f"p{i}q{i}" for i in range(1, n + 1)}

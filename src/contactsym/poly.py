@@ -198,15 +198,6 @@ class Poly:
     def total_degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def degree_on(self, indices: Iterable[int]) -> int:
-        idx = tuple(indices)
-        return max((sum(e[i] for i in idx) for e in self.terms), default=0)
-
-    def block_degrees(self, block: str) -> set:
-        """Set of homogeneous degrees occurring in the given fiber block."""
-        rng = self.table.block_range(block)
-        return {sum(e[i] for i in rng) for e in self.terms}
-
     def is_homogeneous_on(self, indices: Iterable[int], degree: int) -> bool:
         idx = tuple(indices)
         return all(sum(e[i] for i in idx) == degree for e in self.terms)
@@ -299,7 +290,11 @@ def poly_from_json(doc: Mapping) -> Poly:
         coeff = parse_rational(str(item["coeff"]))
         exp = [0] * tab.size
         for name, k in item.get("exp", {}).items():
-            exp[tab.index(name)] = int(k)
+            if type(k) is not int or k < 0:
+                raise StructuralError(
+                    f"exponent of {name} must be a non-negative integer, got {k!r}"
+                )
+            exp[tab.index(name)] = k
         key = tuple(exp)
         acc[key] = acc.get(key, _ZERO) + coeff
     return Poly(tab, acc)

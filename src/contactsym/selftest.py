@@ -41,7 +41,7 @@ from .diophantine import admissible_pairs, kappa3_delta, kappa3_system_solution,
 from .enumeration import exponents_of_degree, exponents_up_to
 from .errors import SpanError
 from .invariants import GENERATOR_NAMES, InvariantQuery, count_S1, generator, invariant_space_dim
-from .linalg import exact_nullspace
+from .linalg import Echelon, exact_nullspace
 from .operators import (
     classify_same_weight,
     commutation_r,
@@ -131,11 +131,9 @@ def check_nullspace(level, rng, **_):
             for row in m:
                 if sum(a * b for a, b in zip(row, v)) != 0:
                     return CheckResult("exact_algebra.nullspace", False, f"M v != 0 for {m}")
-        if basis:
-            stacked = [list(v) for v in basis]
-            mat = [[stacked[j][i] for j in range(len(basis))] for i in range(cols)]
-            if len(exact_nullspace(mat, len(basis))) != 0:
-                return CheckResult("exact_algebra.nullspace", False, "kernel basis dependent")
+        span = Echelon()
+        if any(span.add_row(dict(enumerate(v))) is None for v in basis):
+            return CheckResult("exact_algebra.nullspace", False, "kernel basis dependent")
     return CheckResult("exact_algebra.nullspace", True)
 
 

@@ -90,12 +90,6 @@ class VarTable:
     def base_range(self) -> range:
         return range(self.base_size)
 
-    def block_of(self, idx: int) -> str:
-        if not 0 <= idx < self.size:
-            raise UnknownVariableError(f"variable index {idx} out of range")
-        blk = idx // self.base_size
-        return "base" if blk == 0 else self.blocks[blk - 1]
-
     def fiber(self, block: str, base_idx: int) -> int:
         """Index of the fiber variable of `block` paired with base variable base_idx."""
         if not 0 <= base_idx < self.base_size:
@@ -105,9 +99,6 @@ class VarTable:
     def spatial_base(self) -> range:
         """Indices of p_1..p_n, q_1..q_n (everything in the base block but t)."""
         return range(2 * self.n)
-
-    def with_blocks(self, blocks: tuple[str, ...]) -> "VarTable":
-        return table(self.n, blocks)
 
     def __str__(self):
         return f"VarTable(n={self.n}, blocks={list(self.blocks)})"

@@ -176,16 +176,23 @@ def test_nullspace_exactness_and_independence():
             assert sum(a * b for a, b in zip(row, v)) == 0
 
 
-def test_sparse_matches_dense():
-    rows = [
-        {0: Fraction(1), 2: Fraction(3)},
-        {1: Fraction(2), 2: Fraction(-1), 4: Fraction(1, 2)},
-        {0: Fraction(2), 2: Fraction(6)},
-    ]
-    dense = [[r.get(c, Fraction(0)) for c in range(5)] for r in rows]
-    sparse = sparse_nullspace(rows, 5)
-    ref = exact_nullspace(dense, 5)
-    assert len(sparse) == len(ref) == 3
-    for v in sparse:
-        for r in dense:
-            assert sum(a * b for a, b in zip(r, v)) == 0
+@st.composite
+def sparse_matrices(draw):
+    ncols = draw(st.integers(1, 6))
+    entry = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=ncols)
+    return draw(st.lists(row, max_size=5)), ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_sparse_matches_dense(matrix):
+    """The echelon engine returns exactly sympy's kernel basis."""
+    sympy = pytest.importorskip("sympy")
+    rows, ncols = matrix
+    dense = [[r.get(c, Fraction(0)) for c in range(ncols)] for r in rows]
+    oracle = sympy.Matrix(len(rows), ncols, [sympy.Rational(c.numerator, c.denominator)
+                                              for r in dense for c in r])
+    ref = [[Fraction(int(x.p), int(x.q)) for x in v] for v in oracle.nullspace()]
+    assert sparse_nullspace(rows, ncols) == ref
+    assert exact_nullspace(dense, ncols) == ref

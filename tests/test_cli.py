@@ -126,6 +126,20 @@ def test_decompose_critical_exit_3(tmp_path, capsys):
     assert "critical" in err
 
 
+@pytest.mark.parametrize("power", [-2, 1.7])
+def test_decompose_rejects_bad_exponent_exit_2(tmp_path, capsys, power):
+    poly = {"n": 1, "blocks": ["xi"], "terms": [{"coeff": "1", "exp": {"p1": power}}]}
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(poly))
+    code, out, err = run(
+        capsys, "decompose", "--n", "1", "--k", "1", "--delta", "1",
+        "--input", str(path), "--format", "json",
+    )
+    assert code == 2
+    assert out == ""
+    assert "exponent of p1" in err
+
+
 def test_diophantine_pairs(capsys):
     code, out, _ = run(
         capsys, "diophantine", "pairs", "--n", "1", "--k", "1", "--kp", "1",

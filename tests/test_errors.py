@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from contactsym.contact import SpBasis, VField
 from contactsym.diffop import DiffOp
 from contactsym.errors import (
     CriticalWeightError,
@@ -12,7 +13,7 @@ from contactsym.errors import (
     TableMismatchError,
     UnknownVariableError,
 )
-from contactsym.linalg import SpanSolver
+from contactsym.linalg import Echelon
 from contactsym.operators import classify_same_weight, same_weight_predicted_count
 from contactsym.poly import Poly
 from contactsym.rationals import parse_rational
@@ -65,15 +66,28 @@ def test_critical_weight_index():
 
 
 def test_span_solver_rejects_outside_targets():
-    solver = SpanSolver([[Fraction(1), Fraction(0), Fraction(1)],
-                         [Fraction(0), Fraction(1), Fraction(1)]])
-    assert solver.solve([Fraction(2), Fraction(3), Fraction(5)]) == [
-        Fraction(2), Fraction(3),
-    ]
+    span = Echelon([{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(1)}])
+    assert span.reduce({0: Fraction(2), 1: Fraction(3), 2: Fraction(5)}) == {}
+    assert span.reduce({0: Fraction(1)}) != {}
+    line = Echelon([{0: Fraction(1), 1: Fraction(2)}])
+    assert line.add_row({0: Fraction(2), 1: Fraction(4)}) is None
+
+    basis = SpBasis(1)
+    tab = basis.table
+    field = basis.field("p1").scale(2) + basis.field("q1").scale(3)
+    coords = basis.coordinates(field)
+    assert coords[basis.index["p1"]] == 2 and coords[basis.index["q1"]] == 3
+    assert sum(1 for c in coords if c) == 2
+    zero = Poly.zero(tab)
+    p1 = Poly.variable(tab, "p1")
+    with pytest.raises(SpanError):  # p1 d/dp1 is no contact field
+        basis.coordinates(VField(tab, [p1, zero, zero]))
+    with pytest.raises(SpanError):  # a cubic component has no column at all
+        basis.coordinates(VField(tab, [p1 * p1 * p1, zero, zero]))
+    dependent = SpBasis(1)
+    dependent.generators.append(dependent.generators[0])
     with pytest.raises(SpanError):
-        solver.solve([Fraction(1), Fraction(0), Fraction(0)])
-    with pytest.raises(SpanError):
-        SpanSolver([[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]])
+        dependent.coordinates(field)
 
 
 def test_classifier_empty_index_set():

@@ -17,8 +17,8 @@ from contactsym.invariants import (
     monomial_basis_classical,
     s1_solutions,
 )
-from contactsym.linalg import SpanSolver
-from contactsym.poly import Poly, grlex_key
+from contactsym.linalg import Echelon
+from contactsym.poly import Poly
 from contactsym.symbols import SModule, lie_action_symbol, weight_unit
 
 
@@ -123,13 +123,10 @@ def test_invariant_space_examples():
 
     # the classical products span the solver kernel exactly
     classical = monomial_basis_classical(1, 1, 0, 1, Fraction(0))
-    monos = sorted(
-        {e for el in kernel + classical for e in el.poly.terms}, key=grlex_key
-    )
-    cols = [[el.poly.terms.get(m, Fraction(0)) for m in monos] for el in kernel]
-    solver = SpanSolver(cols)
+    span = Echelon(el.poly.terms for el in kernel)
+    assert span.rank == len(kernel)
     for el in classical:
-        solver.solve([el.poly.terms.get(m, Fraction(0)) for m in monos])
+        assert span.reduce(el.poly.terms) == {}
 
 
 def test_invariant_space_respects_weight_lattice():
