@@ -37,12 +37,11 @@ from .symbols import (
     lie_action_symbol,
     weight_unit,
 )
+from .spectra import c_value, commutation_r, critical_set, eigenvalue
 from .operators import (
     Decomposition,
     ModuleOp,
     classify_same_weight,
-    commutation_r,
-    critical_set,
     decompose,
     gen_hamiltonian,
     i_alpha,
@@ -50,10 +49,8 @@ from .operators import (
 from .casimir import (
     CasimirResult,
     assemble_casimir,
-    c_value,
     casimir_matrix,
     closed_form_casimir,
-    eigenvalue,
     verify_diagonal_form,
 )
 from .invariants import (

@@ -32,7 +32,6 @@ from .errors import DomainError, StructuralError
 from .invariants import InvariantQuery, invariants_report
 from .operators import (
     classify_same_weight,
-    critical_set,
     decompose,
     intertwines_all_generators,
     same_weight_predicted_count,
@@ -40,6 +39,7 @@ from .operators import (
 from .poly import poly_from_json
 from .rationals import format_rational, parse_rational
 from .selftest import run_selftest
+from .spectra import critical_set
 from .symbols import RModule, SymbolElem
 
 EXIT_OK = 0
@@ -206,7 +206,9 @@ def cmd_verify_casimir(args) -> int:
         "ok": res.verified,
     }
     if res.verified and args.delta not in crit:
-        matrix = casimir_matrix(args.n, args.k, args.delta, min(args.max_base_degree, 2))
+        matrix = casimir_matrix(
+            res.assembled, args.n, args.k, args.delta, min(args.max_base_degree, 2)
+        )
         report["results"]["spectrum_certified"] = matrix.annihilated_by_spectrum()
     emit(report, args.format)
     return EXIT_OK if res.verified else EXIT_PROPERTY

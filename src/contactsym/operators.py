@@ -34,13 +34,7 @@ from .errors import DomainError, StructuralError
 from .linalg import Echelon, sparse_nullspace
 from .poly import Poly, grlex_key
 from .rationals import format_rational
-from .spectra import (  # re-exported as part of this module's surface
-    CriticalSet,
-    commutation_r,
-    critical_set,
-    eigenvalue,
-    require_noncritical,
-)
+from .spectra import commutation_r, eigenvalue, require_noncritical
 from .symbols import (
     ModuleDesc,
     RModule,
@@ -52,14 +46,10 @@ from .symbols import (
 from .vartable import VarTable
 
 __all__ = [
-    "CriticalSet",
     "Decomposition",
     "ModuleOp",
     "classify_same_weight",
-    "commutation_r",
-    "critical_set",
     "decompose",
-    "eigenvalue",
     "fiber_restriction",
     "gen_hamiltonian",
     "gen_hamiltonian_module_op",
@@ -176,24 +166,12 @@ class ModuleOp:
                 f"cannot compose: {other.label} targets {other.target} "
                 f"but {self.label} expects {self.source}"
             )
-        tab = self.diffop.table
         return ModuleOp(
             other.source,
             self.target,
-            self.diffop.compose(_convert_op(other.diffop, tab)),
+            self.diffop.compose(other.diffop),
             label=f"{self.label}o{other.label}",
         )
-
-
-def _convert_op(op: DiffOp, tab: VarTable) -> DiffOp:
-    if op.table == tab:
-        return op
-    terms = {}
-    for midx, coeff in op.terms.items():
-        # midx entries live on matching variable names; same-n tables with
-        # identical block sets coincide, so only that case is supported.
-        terms[midx] = coeff.convert(tab)
-    return DiffOp(tab, terms)
 
 
 def i_alpha_module_op(module: ModuleDesc) -> ModuleOp:

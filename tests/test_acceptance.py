@@ -11,7 +11,6 @@ from fractions import Fraction
 
 from contactsym.casimir import (
     assemble_casimir,
-    c_value,
     casimir_terms,
     closed_form_casimir,
     extract_scalar,
@@ -40,8 +39,6 @@ from contactsym.invariants import GENERATOR_NAMES, InvariantQuery, count_S1, gen
 from contactsym.linalg import rank
 from contactsym.operators import (
     classify_same_weight,
-    commutation_r,
-    critical_set,
     decompose,
     gen_hamiltonian,
     i_alpha,
@@ -51,7 +48,7 @@ from contactsym.operators import (
     same_weight_predicted_count,
 )
 from contactsym.poly import Poly
-from contactsym.spectra import eigenvalue
+from contactsym.spectra import c_value, commutation_r, critical_set, eigenvalue
 from contactsym.symbols import RModule, SymbolElem, lie_action_symbol
 from contactsym.vartable import table
 

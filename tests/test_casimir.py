@@ -5,13 +5,12 @@ from fractions import Fraction
 
 import pytest
 
+import contactsym.casimir
 from contactsym.casimir import (
     assemble_casimir,
-    c_value,
     casimir_matrix,
     casimir_terms,
     closed_form_casimir,
-    eigenvalue,
     extract_scalar,
     monomial_family,
     expansion_constants,
@@ -21,6 +20,7 @@ from contactsym.casimir import (
 from contactsym.contact import sp_basis
 from contactsym.operators import decompose
 from contactsym.poly import Poly
+from contactsym.spectra import c_value, eigenvalue
 from contactsym.symbols import RModule, SymbolElem, lie_action_as_diffop
 
 
@@ -82,24 +82,28 @@ def test_closed_form_k0_is_scalar():
     assert op == DiffOp.identity(tab).scale(c_value(1, 0, Fraction(9, 5)) / 3)
 
 
+def _matrix(n, k, delta, base_degree):
+    return casimir_matrix(assemble_casimir(n, k, delta), n, k, delta, base_degree)
+
+
 def test_casimir_matrix_cases():
-    zero = casimir_matrix(1, 0, Fraction(0), 1)
+    zero = _matrix(1, 0, Fraction(0), 1)
     assert all(all(x == 0 for x in row) for row in zero.matrix)
     assert len(zero.family) == 4 and not zero.overflow
 
-    small = casimir_matrix(1, 1, Fraction(1), 0)
+    small = _matrix(1, 1, Fraction(1), 0)
     # only xi_t survives the closure shrink at D=0
     assert len(small.family) == 1
     assert small.matrix == ((Fraction(0),),)
     assert small.annihilated_by_spectrum()
 
-    mid = casimir_matrix(1, 1, Fraction(1), 1)
+    mid = _matrix(1, 1, Fraction(1), 1)
     assert len(mid.family) == 5 and mid.overflow
     assert mid.annihilated_by_spectrum()
     dims = [mid.eigenspace_dimension(eigenvalue(1, 1, l, Fraction(1))) for l in (0, 1)]
     assert sum(dims) == len(mid.family)
 
-    big = casimir_matrix(1, 2, Fraction(1, 3), 1)
+    big = _matrix(1, 2, Fraction(1, 3), 1)
     assert big.annihilated_by_spectrum()
 
 
@@ -167,22 +171,27 @@ def test_expansion_constants_recovered():
     assert c2 == 0
 
 
-def test_verify_reports_counterexample_on_false_claim():
-    # A deliberately wrong closed form must be falsified with a witness.
-    res = verify_diagonal_form(1, 1, Fraction(1), max_base_degree=2)
-    wrong = res.closed_form + res.closed_form  # 2C != C
-    tab, family = monomial_family(1, 1, 2)
-    mismatch = [
-        exp for exp in family
-        if res.assembled.apply(Poly.monomial(tab, exp)) != wrong.apply(Poly.monomial(tab, exp))
-    ]
-    assert mismatch  # the evaluation family distinguishes the operators
+def test_verify_reports_counterexample_on_false_claim(monkeypatch):
+    # Deliberately wrong closed forms must be falsified with a witness.
+    exact = closed_form_casimir
+    for factor in (Fraction(2), Fraction(1001, 1000)):
+        monkeypatch.setattr(
+            contactsym.casimir, "closed_form_casimir",
+            lambda n, k, delta: exact(n, k, delta).scale(factor),
+        )
+        res = verify_diagonal_form(1, 1, Fraction(1), max_base_degree=2)
+        assert res.closed_form == exact(1, 1, Fraction(1)).scale(factor)
+        assert res.verified is False
+        assert res.to_json()["counterexample"] is not None
+        w = res.counterexample
+        assert res.assembled.apply(w) != res.closed_form.apply(w)
 
 
-def test_diagonal_form_n2_spot_checks():
-    for k, delta, deg in ((0, Fraction(1, 3), 2), (1, Fraction(-5, 7), 3), (2, Fraction(1, 3), 2)):
-        res = verify_diagonal_form(2, k, delta, max_base_degree=deg, spot_checks=1)
-        assert res.verified, (k, delta)
+def test_diagonal_form_n2():
+    cases = ((0, Fraction(1, 3)), (1, Fraction(-5, 7)), (2, Fraction(1, 3)), (3, Fraction(-5, 6)))
+    for k, delta in cases:
+        res = verify_diagonal_form(2, k, delta)
+        assert res.verified and res.counterexample is None, (k, delta)
 
 
 def test_assembly_equivalence_n2():

@@ -1,10 +1,27 @@
 """Command-line surface: exit codes, report schemas, determinism."""
 
+import hashlib
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import pytest
 
 from contactsym.cli import main
+
+
+def _load_bench_workloads():
+    """bench/workloads.py, imported read-only for its frozen fixed instances."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _load_bench_workloads()
 
 
 def run(capsys, *argv):
@@ -214,3 +231,12 @@ def test_export_basis(tmp_path, capsys):
     assert len(doc["generators"]) == 10
     labels = {g["label"] for g in doc["generators"]}
     assert {"1", "t", "t2", "p1", "q1", "tp1", "tq1", "p1p1", "q1q1", "p1q1"} == labels
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_fixed_bench_report_matches_frozen_digest(capsys, name):
+    fixed = WORKLOADS[name].fixed
+    code, out, _ = run(capsys, *fixed.argv, "--format", "json")
+    assert code == 0
+    assert fixed.expect(json.loads(out))
+    assert hashlib.sha256(out.encode()).hexdigest() == WORKLOADS[name].digest

@@ -14,10 +14,11 @@ from contactsym.errors import (
     UnknownVariableError,
 )
 from contactsym.linalg import Echelon
-from contactsym.operators import classify_same_weight, same_weight_predicted_count
+from contactsym.operators import ModuleOp, classify_same_weight, same_weight_predicted_count
 from contactsym.poly import Poly
 from contactsym.rationals import parse_rational
 from contactsym.spectra import require_noncritical
+from contactsym.symbols import RModule
 from contactsym.vartable import VarTable, table
 
 
@@ -55,6 +56,16 @@ def test_diffop_coefficient_table_guard():
         DiffOp(tab, {(0,) * tab.size: Poly.one(other)})
     with pytest.raises(TableMismatchError):
         DiffOp.identity(tab).apply(Poly.one(other))
+
+
+def test_module_op_compose_table_guard():
+    mod = RModule(1, 1, Fraction(0))
+    on_n1 = ModuleOp(mod, mod, DiffOp.identity(mod.table))
+    on_n2 = ModuleOp(mod, mod, DiffOp.identity(RModule(2, 1, Fraction(0)).table))
+    with pytest.raises(TableMismatchError):
+        on_n1.compose(on_n2)
+    with pytest.raises(TableMismatchError):
+        on_n2.compose(on_n1)
 
 
 def test_critical_weight_index():

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from contactsym.casimir import assemble_casimir
 from contactsym.contact import sp_basis
@@ -11,10 +13,7 @@ from contactsym.enumeration import exponents_of_degree, exponents_up_to
 from contactsym.errors import CriticalWeightError, StructuralError
 from contactsym.operators import (
     classify_same_weight,
-    commutation_r,
-    critical_set,
     decompose,
-    eigenvalue,
     fiber_restriction,
     gen_hamiltonian,
     gen_hamiltonian_module_op,
@@ -25,9 +24,11 @@ from contactsym.operators import (
     restriction_coordinates,
     same_weight_predicted_count,
 )
+from contactsym.diffop import DiffOp
 from contactsym.linalg import rank
 from contactsym.poly import Poly
-from contactsym.symbols import RModule, SModule, SymbolElem
+from contactsym.spectra import commutation_r, critical_set, eigenvalue
+from contactsym.symbols import RModule, SModule, SymbolElem, fiber_euler_op
 
 
 def elem(poly, mod):
@@ -244,14 +245,35 @@ def test_predicted_ops_apply_with_declared_shift():
 
 def test_fiber_restriction_detects_annihilator():
     # E_xi - k annihilates fiber degree k exactly.
-    from contactsym.diffop import DiffOp
-    from contactsym.symbols import fiber_euler_op
-
     mod = RModule(1, 2, Fraction(0))
     tab = mod.table
     op = fiber_euler_op(tab) - DiffOp.identity(tab).scale(2)
     assert fiber_restriction(op, 2) == {}
     assert fiber_restriction(op, 1) != {}
+
+
+R_TAB = RModule(1, 0, Fraction(0)).table
+unit_exponent = st.tuples(*[st.integers(0, 1)] * R_TAB.size)
+small_polys = st.dictionaries(
+    unit_exponent, st.integers(-3, 3).map(Fraction), min_size=1, max_size=2
+).map(lambda terms: Poly(R_TAB, terms))
+small_ops = st.dictionaries(unit_exponent, small_polys, max_size=3).map(
+    lambda terms: DiffOp(R_TAB, terms)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_ops, small_ops, st.integers(0, 2))
+def test_fiber_restriction_matches_evaluation(a, b, k):
+    # b o (E_xi - k) annihilates fiber degree k, so both outcomes occur.
+    op = a + b.compose(fiber_euler_op(R_TAB) - DiffOp.identity(R_TAB).scale(k))
+    nb = R_TAB.base_size
+    monomials = [
+        Poly.monomial(R_TAB, base + fiber)
+        for base in exponents_up_to(nb, op.order())
+        for fiber in exponents_of_degree(nb, k)
+    ]
+    assert (fiber_restriction(op, k) == {}) == all(not op.apply(m) for m in monomials)
 
 
 def test_classify_n2_spot():
