@@ -55,6 +55,17 @@ def rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def natural(text: str) -> int:
+    """A non-negative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
+
+
 def blocks_arg(text: str):
     try:
         out = []
@@ -108,7 +119,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=1)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=rational, required=True)
-    p.add_argument("--max-base-degree", type=int, default=4)
+    p.add_argument("--max-base-degree", type=natural, default=4)
     common(p)
 
     p = sub.add_parser("invariants", help="invariant tensor fields in S^{km}_{l;nu}")
@@ -134,7 +145,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=rational, required=True)
     p.add_argument("--order-bound", type=int, default=2)
-    p.add_argument("--coeff-degree-bound", type=int, default=None)
     common(p)
 
     dio = sub.add_parser("diophantine", help="weight constraints between modules")
@@ -250,9 +260,7 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_classify_same_weight(args) -> int:
-    dim, ops = classify_same_weight(
-        args.n, args.l, args.k, args.delta, args.order_bound, args.coeff_degree_bound
-    )
+    dim, ops = classify_same_weight(args.n, args.l, args.k, args.delta, args.order_bound)
     predicted = same_weight_predicted_count(args.l, args.k, args.order_bound)
     basis = sp_basis(args.n)
     rechecked = all(intertwines_all_generators(op, basis) for op in ops)

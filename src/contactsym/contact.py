@@ -370,6 +370,95 @@ def sp_basis(n: int) -> SpBasis:
     return basis
 
 
+# -- generating sets of the algebras the solvers impose -----------------------
+
+
+def _algebra_labels(n: int, algebra: str) -> tuple:
+    """Basis labels of sp(2n+2) ("full_sp") or of its affine subalgebra.
+
+    The affine subalgebra ("affine_contact") keeps the generating functions
+    of weighted degree <= 2 (t of weight 2): it drops tp_i, tq_i and t^2.
+    """
+    labels = tuple(g.label for g in sp_basis(n).generators)
+    if algebra == "full_sp":
+        return labels
+    if algebra == "affine_contact":
+        return tuple(lbl for lbl in labels if lbl == "t" or not lbl.startswith("t"))
+    raise DomainError(f"unknown algebra {algebra!r}")
+
+
+def _grading_labels(n: int) -> tuple:
+    """1, t and the p_i q_i: diagonal on monomials, imposed as per-term filters."""
+    return ("1", "t") + tuple(f"p{i}q{i}" for i in range(1, n + 1))
+
+
+def _bracket(u: dict, v: dict, c) -> dict:
+    """[u, v] for sparse coordinate vectors, from structure constants c."""
+    out: dict = {}
+    for a, ua in u.items():
+        for b, vb in v.items():
+            for d, x in enumerate(c[a][b]):
+                if x:
+                    out[d] = out.get(d, Fraction(0)) + ua * vb * x
+    return {d: x for d, x in out.items() if x}
+
+
+def _certified_generators(n: int, algebra: str, labels) -> tuple:
+    """labels, once their bracket closure with _grading_labels(n) is the algebra.
+
+    The closure is computed over structure_constants; StructuralError if it
+    has the wrong dimension or leaves the algebra's labels.
+    """
+    basis = sp_basis(n)
+    allowed = _algebra_labels(n, algebra)
+    c = basis.structure_constants()
+    span = Echelon()
+    elems = []
+    for lbl in _grading_labels(n) + tuple(labels):
+        vec = {basis.index[lbl]: Fraction(1)}
+        if span.add_row(vec) is not None:
+            elems.append(vec)
+    new = list(elems)
+    while new:
+        fresh = []
+        for u in new:
+            for v in elems:
+                w = _bracket(u, v, c)
+                if span.add_row(w) is not None:
+                    fresh.append(w)
+        elems.extend(fresh)
+        new = fresh
+    inside = {basis.index[lbl] for lbl in allowed}
+    outside = any(a not in inside for row in span.rows.values() for a in row)
+    if span.rank != len(allowed) or outside:
+        raise StructuralError(
+            f"labels {labels} with the grading generate a closure of dimension "
+            f"{span.rank}, not the {algebra} algebra (dimension {len(allowed)})"
+        )
+    return tuple(labels)
+
+
+@lru_cache(maxsize=None)
+def generating_labels(n: int, algebra: str = "full_sp") -> tuple:
+    """Root vectors that, with 1, t and the p_i q_i, generate the algebra.
+
+    Invariance under a set of fields implies invariance under the Lie
+    algebra they generate, so the solvers impose rows only for these
+    labels.  With the path P(n) = p1p1, q1q2, p2p3, q3q4, ... (x_i x_{i+1}
+    for i < n, the letter alternating) and y the letter that the last
+    element of P(n) does not use, the set is P(n) + [t y_n] for sp(2n+2)
+    and P(n) + [q_n, y_n y_n] for the affine subalgebra.  It is certified
+    by bracket closure (_certified_generators) on first use.
+    """
+    path = ["p1p1"]
+    for i in range(1, n):
+        x = "q" if i % 2 else "p"
+        path.append(f"{x}{i}{x}{i + 1}")
+    y = "q" if path[-1][0] == "p" else "p"
+    extra = [f"t{y}{n}"] if algebra == "full_sp" else [f"q{n}", f"{y}{n}{y}{n}"]
+    return _certified_generators(n, algebra, tuple(path + extra))
+
+
 def killing_form(a, b, basis: SpBasis) -> Fraction:
     """trace(ad_a o ad_b) from structure constants over the generator basis."""
     va = basis.element_vector(a)

@@ -17,6 +17,7 @@ which keeps the result normal-ordered and is exact over the rationals.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 from typing import Mapping
 
@@ -27,12 +28,13 @@ from .vartable import VarTable
 _ZERO = Fraction(0)
 
 
-def _sub_indices(midx):
+@lru_cache(maxsize=None)
+def _sub_indices(midx: tuple) -> tuple:
     """All multi-indices c with 0 <= c <= midx, with their binomial weights."""
     out = [((), 1)]
     for a in midx:
         out = [(prefix + (c,), w * comb(a, c)) for prefix, w in out for c in range(a + 1)]
-    return out
+    return tuple(out)
 
 
 class DiffOp:

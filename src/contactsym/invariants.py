@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .contact import sp_basis
+from .contact import generating_labels, sp_basis
 from .enumeration import exponents_of_degree, exponents_up_to
 from .errors import DomainError
 from .linalg import Echelon, sparse_nullspace
@@ -192,21 +192,27 @@ class InvariantQuery:
         }
 
 
-def _generating_labels(n: int, algebra: str):
-    labels = ["1"] + [f"p{i}" for i in range(1, n + 1)] + [f"q{i}" for i in range(1, n + 1)]
-    labels.append("t")
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            labels.append(f"p{i}p{j}")
-            labels.append(f"q{i}q{j}")
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            labels.append(f"p{j}q{i}")
-    if algebra == "full_sp":
-        labels.extend(f"tp{i}" for i in range(1, n + 1))
-        labels.extend(f"tq{i}" for i in range(1, n + 1))
-        labels.append("t2")
-    return labels
+def _fiber_index(mod: SModule) -> dict:
+    """Fiber exponents of mod, concatenated in block order, by (grade, charge).
+
+    The grade is the Euler grade G_xi + G_eta - G_Y (spatial slots 1, the t
+    slot 2); charge i is the X_{p_i q^i} eigenvalue, with the base part left
+    out.  Both are integers.
+    """
+    n = mod.n
+    sign = {"xi": 1, "eta": 1, "Y": -1}
+    index = {(0, (0,) * n): [()]}
+    for block, degree in mod.fiber_degrees.items():
+        s = sign[block]
+        grown: dict = {}
+        for exp in exponents_of_degree(2 * n + 1, degree):
+            grade = s * (sum(exp[: 2 * n]) + 2 * exp[2 * n])
+            charge = tuple(s * (exp[i] - exp[n + i]) for i in range(n))
+            for (g, ch), prefixes in index.items():
+                key = (g + grade, tuple(a + b for a, b in zip(ch, charge)))
+                grown.setdefault(key, []).extend(pre + exp for pre in prefixes)
+        index = grown
+    return index
 
 
 def invariant_space_dim(query: InvariantQuery):
@@ -214,70 +220,39 @@ def invariant_space_dim(query: InvariantQuery):
 
     The kernel conditions for X_1 (t-freeness), X_t (an Euler grading) and
     the diagonal fields X_{p_i q^i} (charge conservation) are diagonal on
-    the monomial ansatz and are imposed as exact per-monomial filters; the
-    remaining generators feed a sparse exact kernel computation.
+    the monomial ansatz and are imposed as exact per-monomial filters: a
+    t-free base exponent meets only the fiber exponents of the grade and
+    charge it forces.  The ansatz is a representation of the algebra on
+    which every L_X keeps the fiber degrees, so invariance under a set of
+    fields implies invariance under the Lie algebra they generate.  Rows
+    are therefore imposed only for contact.generating_labels, which
+    together with the filtered fields generate the algebra; that set is
+    certified by bracket closure over the structure constants.
     """
-    n, k, m, l = query.n, query.k, query.m, query.l
-    nu = query.nu
-    mod = SModule(n, k, m, l, nu)
+    n = query.n
+    mod = SModule(n, query.k, query.m, query.l, query.nu)
     tab = mod.table
-    base_size = tab.base_size
+    target = 2 * (n + 1) * query.nu  # the Euler grade every term must match
+    if target.denominator != 1:
+        return 0, []
+    fibers = _fiber_index(mod)
 
-    fiber_shapes = {
-        "xi": exponents_of_degree(base_size, k) if "xi" in mod.blocks else ((0,) * 0,),
-        "eta": exponents_of_degree(base_size, m) if "eta" in mod.blocks else ((0,) * 0,),
-        "Y": exponents_of_degree(base_size, l) if "Y" in mod.blocks else ((0,) * 0,),
-    }
-    # When a block is disabled its exponent contributes no slots at all.
-    enabled = mod.blocks
-
-    def spatial(exp):
-        return sum(exp[: 2 * n])
-
-    grade_target = 2 * (n + 1) * nu  # must be matched exactly by the grading
     monomials = []
-    for base in exponents_up_to(base_size, query.bound):
+    for base in exponents_up_to(tab.base_size, query.bound):
         if base[2 * n]:
             continue  # X_1 invariance kills every t-dependent coefficient
-        for xi_exp in fiber_shapes["xi"]:
-            for eta_exp in fiber_shapes["eta"]:
-                for y_exp in fiber_shapes["Y"]:
-                    grade = Fraction(-spatial(base))
-                    charge_ok = True
-                    parts = {"xi": xi_exp, "eta": eta_exp, "Y": y_exp}
-                    for block in ("xi", "eta"):
-                        if block in enabled:
-                            exp = parts[block]
-                            grade += spatial(exp) + 2 * exp[2 * n]
-                    if "Y" in enabled:
-                        grade -= spatial(y_exp) + 2 * y_exp[2 * n]
-                    if grade != grade_target:
-                        continue
-                    for i in range(n):
-                        charge = base[n + i] - base[i]
-                        if "xi" in enabled:
-                            charge += xi_exp[i] - xi_exp[n + i]
-                        if "eta" in enabled:
-                            charge += eta_exp[i] - eta_exp[n + i]
-                        if "Y" in enabled:
-                            charge += y_exp[n + i] - y_exp[i]
-                        if charge:
-                            charge_ok = False
-                            break
-                    if not charge_ok:
-                        continue
-                    full = base
-                    for block in enabled:
-                        full = full + parts[block]
-                    monomials.append(full)
+        # The fiber part must carry the grade and charge that the base lacks.
+        key = (
+            int(target) + sum(base),
+            tuple(base[i] - base[n + i] for i in range(n)),
+        )
+        monomials.extend(base + fiber for fiber in fibers.get(key, ()))
     monomials.sort(key=grlex_key)
     if not monomials:
         return 0, []
 
     basis = sp_basis(n)
-    skip = {"1", "t"} | {f"p{i}q{i}" for i in range(1, n + 1)}
-    labels = [lbl for lbl in _generating_labels(n, query.algebra) if lbl not in skip]
-
+    labels = generating_labels(n, query.algebra)
     rows: dict = {}
     for col, exp in enumerate(monomials):
         elem = SymbolElem(Poly.monomial(tab, exp), mod)

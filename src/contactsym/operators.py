@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .contact import SpBasis, sp_basis
+from .contact import SpBasis, generating_labels, sp_basis
 from .diffop import DiffOp
 from .enumeration import compositions_with_minimum, exponents_of_degree, exponents_up_to
 from .errors import DomainError, StructuralError
@@ -341,33 +341,32 @@ def predicted_same_weight_ops(n: int, l: int, k: int, delta, order_bound: int):
     return out
 
 
-def classify_same_weight(
-    n: int,
-    l: int,
-    k: int,
-    delta,
-    order_bound: int,
-    coeff_degree_bound: Optional[int] = None,
-):
+def classify_same_weight(n: int, l: int, k: int, delta, order_bound: int):
     """Exact basis of intertwining operators R^l_delta -> R^k_delta.
 
     The ansatz is T = sum c(x) xi^mu d_x^gamma d_xi^beta with |beta| <= l,
-    |mu| = k - l + |beta|, |gamma| <= order_bound and deg c <= the
-    coefficient bound (default order_bound + l + 1, strictly containing the
-    predicted basis).  An operator only matters through its action on
-    xi-degree-l polynomials, so the ansatz terms are first reduced modulo
-    the annihilator of that subspace (fiber_restriction); intertwining
-    against the grading generators (X_1, X_t and the diagonal p_i q_i
-    fields) is imposed exactly as per-term filters, and the remaining
-    generators feed an exact sparse kernel computation on the restricted
-    coefficients.
+    |mu| = k - l + |beta| and |gamma| <= order_bound.  An operator only
+    matters through its action on xi-degree-l polynomials, so the ansatz
+    terms are first reduced modulo the annihilator of that subspace
+    (fiber_restriction).  Intertwining against the grading generators (X_1,
+    X_t and the diagonal p_i q_i fields) is imposed exactly as per-term
+    filters; the X_t grading fixes the degree of each coefficient, so the
+    result is exhaustive up to the order bound.
+
+    Every L_X keeps the fiber degree, so the condition L_X o T = T o L_X
+    on the xi-degree-l subspace is closed under brackets of the fields (on
+    R^l_delta and R^k_delta the action is a representation): intertwining
+    a set of fields implies intertwining the Lie algebra they generate.
+    Rows are therefore imposed only for contact.generating_labels, which
+    together with the filtered fields generate sp(2n+2); that set is
+    certified by bracket closure over the structure constants.  The rows
+    feed an exact sparse kernel computation on the restricted coefficients.
 
     Returns (dimension, list of ModuleOp kernel representatives).
     """
     if order_bound < 0:
         raise DomainError("order bound must be >= 0")
     delta = Fraction(delta)
-    bound_d = coeff_degree_bound if coeff_degree_bound is not None else order_bound + l + 1
     source = RModule(n, l, delta)
     target = RModule(n, k, delta)
     tab = source.table
@@ -390,7 +389,7 @@ def classify_same_weight(
                         + 2 * (mu[2 * n] - beta[2 * n])
                         - 2 * (k - l)
                     )
-                    if dpq < 0 or dpq > bound_d:
+                    if dpq < 0:
                         continue
                     # Per-index charge fixes alpha_qi - alpha_pi.
                     s = [
@@ -419,15 +418,15 @@ def classify_same_weight(
             columns.append((key, coeff_exp, midx, op))
 
     basis = sp_basis(n)
-    skip = {"1", "t"} | {f"p{i}q{i}" for i in range(1, n + 1)}
-    gens = [g for g in basis.generators if g.label not in skip]
-    l_src = {g.label: lie_action_as_diffop(g.field, source) for g in gens}
-    l_tgt = {g.label: lie_action_as_diffop(g.field, target) for g in gens}
+    fields = [basis.field(lbl) for lbl in generating_labels(n)]
+    actions = [
+        (lie_action_as_diffop(x, source), lie_action_as_diffop(x, target)) for x in fields
+    ]
 
     rows: dict = {}
     for col, (_, _, _, t_u) in enumerate(columns):
-        for g_idx, gen in enumerate(gens):
-            bracket = l_tgt[gen.label].compose(t_u) - t_u.compose(l_src[gen.label])
+        for g_idx, (l_src, l_tgt) in enumerate(actions):
+            bracket = l_tgt.compose(t_u) - t_u.compose(l_src)
             for (b, gamma), bucket in fiber_restriction(bracket, l).items():
                 for exp, c in bucket.items():
                     rows.setdefault((g_idx, b, gamma, exp), {})[col] = c

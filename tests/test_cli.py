@@ -78,6 +78,15 @@ def test_decimal_rejected(capsys):
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("degree", ["-1", "-3", "2.5"])
+def test_verify_casimir_rejects_bad_base_degree_exit_2(capsys, degree):
+    # A negative degree would certify the spectrum on an empty monomial span.
+    with pytest.raises(SystemExit) as err:
+        main(["verify-casimir", "--n", "1", "--k", "1", "--delta", "1",
+              f"--max-base-degree={degree}"])
+    assert err.value.code == 2
+
+
 def test_invariants_examples(capsys):
     code, out, _ = run(
         capsys, "invariants", "--n", "1", "--k", "1", "--m", "0", "--l", "1",

@@ -1,13 +1,18 @@
 """Darboux-model fields, brackets, the sp basis and its Killing duals."""
 
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from contactsym.contact import (
+    _certified_generators,
     alpha_of,
     contact_hamiltonian,
     divergence,
+    generating_labels,
     killing_form,
     lagrange_bracket,
     reeb_field,
@@ -17,7 +22,7 @@ from contactsym.contact import (
     VField,
 )
 from contactsym.enumeration import exponents_up_to
-from contactsym.errors import DomainError, SpanError
+from contactsym.errors import DomainError, SpanError, StructuralError
 from contactsym.poly import Poly
 from contactsym.vartable import table
 
@@ -208,3 +213,46 @@ def test_killing_duality_rejects_sp2n_constant():
     wrong = {"q1q1": Fraction(-1, 16)}
     assert killing_form("p1p1", wrong, basis) != 1
     assert killing_form("p1p1", {"q1q1": Fraction(-1, 24)}, basis) == 1
+
+
+def test_generating_labels_at_n2():
+    assert generating_labels(2) == ("p1p1", "q1q2", "tp2")
+    assert generating_labels(2, "affine_contact") == ("p1p1", "q1q2", "q2", "p2p2")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("algebra", ["full_sp", "affine_contact"])
+def test_generating_labels_certified(n, algebra):
+    labels = generating_labels(n, algebra)
+    assert len(labels) == (n + 1 if algebra == "full_sp" else n + 2)
+    assert _certified_generators(n, algebra, labels) == labels
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("algebra", ["full_sp", "affine_contact"])
+def test_generating_set_needs_every_label(n, algebra):
+    labels = generating_labels(n, algebra)
+    for drop in range(len(labels)):
+        with pytest.raises(StructuralError):
+            _certified_generators(n, algebra, labels[:drop] + labels[drop + 1:])
+
+
+def test_generating_set_must_stay_in_the_algebra():
+    # With t2 the closure is all of sp(4), which leaves the affine algebra.
+    assert _certified_generators(1, "full_sp", ("p1p1", "q1", "q1q1", "t2"))
+    with pytest.raises(StructuralError):
+        _certified_generators(1, "affine_contact", ("p1p1", "q1", "q1q1", "t2"))
+    with pytest.raises(DomainError):
+        generating_labels(1, "projective")
+
+
+def test_generating_set_is_built_lazily():
+    # Import, sp_basis and structure_constants do no generating-set work.
+    code = (
+        "from contactsym.contact import generating_labels, sp_basis\n"
+        "sp_basis(2).structure_constants()\n"
+        "assert generating_labels.cache_info().currsize == 0\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={"PYTHONPATH": str(src)})

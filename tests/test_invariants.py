@@ -170,3 +170,29 @@ def test_solver_n2_spot_checks():
         for algebra, contact in (("affine_contact", False), ("full_sp", True)):
             dim, _ = invariant_space_dim(InvariantQuery(2, k, m, l, nu, algebra))
             assert dim == count_S1(2, k, m, l, nu, contact), (k, m, l, nu, algebra)
+
+
+def _full_basis_oracle(n, k, m, l):
+    """Every kernel vector must be killed by every field of its algebra."""
+    basis = sp_basis(n)
+    full = [g.label for g in basis.generators]
+    affine = [lbl for lbl in full if lbl == "t" or "t" not in lbl]
+    checked = 0
+    for lattice in range(-l, k + m + 1):
+        nu = Fraction(lattice, n + 1)
+        for algebra, labels in (("affine_contact", affine), ("full_sp", full)):
+            _, kernel = invariant_space_dim(InvariantQuery(n, k, m, l, nu, algebra))
+            for el in kernel:
+                for lbl in labels:
+                    assert lie_action_symbol(basis.field(lbl), el).is_zero(), (nu, algebra, lbl)
+                checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 0), (2, 0, 1), (1, 1, 1), (0, 2, 2), (2, 1, 1)])
+def test_solver_kernel_invariant_under_full_basis_n1(shape):
+    assert _full_basis_oracle(1, *shape) > 0
+
+
+def test_solver_kernel_invariant_under_full_basis_n2():
+    assert _full_basis_oracle(2, 1, 1, 1) > 0
