@@ -32,7 +32,6 @@ from .symbols import (
     RModule,
     SModule,
     SymbolElem,
-    density_action,
     lie_action_as_diffop,
     lie_action_symbol,
     weight_unit,

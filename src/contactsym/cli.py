@@ -55,15 +55,24 @@ def rational(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def natural(text: str) -> int:
-    """A non-negative integer."""
+def _integer_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    if value is None or value < low:
+        raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {text!r}")
     return value
+
+
+def natural(text: str) -> int:
+    """A non-negative integer."""
+    return _integer_at_least(text, 0)
+
+
+def positive(text: str) -> int:
+    """An integer >= 1, such as the chart half-dimension n."""
+    return _integer_at_least(text, 1)
 
 
 def blocks_arg(text: str):
@@ -116,31 +125,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("verify-casimir", help="check the Casimir diagonal form")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=positive, default=1)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=rational, required=True)
     p.add_argument("--max-base-degree", type=natural, default=4)
     common(p)
 
     p = sub.add_parser("invariants", help="invariant tensor fields in S^{km}_{l;nu}")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=positive, default=1)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--nu", type=rational, required=True)
     p.add_argument("--algebra", choices=("affine", "contact"), default="affine")
-    p.add_argument("--xdeg", type=int, default=None)
+    p.add_argument("--xdeg", type=natural, default=None)
     common(p)
 
     p = sub.add_parser("decompose", help="eigenspace decomposition of an R^k_delta element")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=positive, default=1)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=rational, required=True)
     p.add_argument("--input", required=True, help="polynomial JSON file ('-' for stdin)")
     common(p)
 
     p = sub.add_parser("classify-same-weight", help="invariant operators R^l -> R^k")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=positive, default=1)
     p.add_argument("--l", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=rational, required=True)
@@ -151,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     dsub = dio.add_subparsers(dest="dio_command", required=True)
 
     p = dsub.add_parser("pairs", help="admissible (l, l') pairs")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=positive, default=1)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kp", type=int, required=True)
     p.add_argument("--delta", type=rational, required=True)
@@ -159,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = dsub.add_parser("discriminant", help="quadratic in delta' at fixed delta")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=positive, default=1)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kp", type=int, required=True)
     p.add_argument("--l", type=int, required=True)
@@ -168,14 +177,14 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = dsub.add_parser("kappa3", help="weight forced by three blocks")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=positive, default=1)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kp", type=int, required=True)
     p.add_argument("--blocks", type=blocks_arg, required=True, help="'l:lp,l:lp,l:lp'")
     common(p)
 
     p = dsub.add_parser("kappa4", help="consistency for four or more blocks")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=positive, default=1)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--kp", type=int, required=True)
     p.add_argument("--delta", type=rational, required=True)
@@ -189,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
 
     p = sub.add_parser("export-basis", help="emit the sp basis with its duals")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=positive, default=1)
     p.add_argument("--output", default=None, help="output file (default stdout)")
     common(p)
 

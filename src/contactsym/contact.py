@@ -74,6 +74,9 @@ class VField:
             return NotImplemented
         return self.table == other.table and self.components == other.components
 
+    def __hash__(self):
+        return hash((self.table, self.components))
+
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
@@ -259,14 +262,6 @@ class SpBasis:
 
     def dual_combination(self, label: str) -> dict[str, Fraction]:
         return dict(self.duals[self.index[label]])
-
-    def dual_field(self, label: str) -> VField:
-        combo = self.duals[self.index[label]]
-        out = None
-        for lbl, c in combo.items():
-            piece = self.field(lbl).scale(c)
-            out = piece if out is None else out + piece
-        return out
 
     # -- coordinates of fields in the generator span -----------------------
 

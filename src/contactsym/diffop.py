@@ -37,6 +37,14 @@ def _sub_indices(midx: tuple) -> tuple:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def unit_index(tab: VarTable, idx: int) -> tuple:
+    """The multi-index of the single derivative d/d(var idx) over `tab`."""
+    midx = [0] * tab.size
+    midx[idx] = 1
+    return tuple(midx)
+
+
 class DiffOp:
     """Immutable normal-ordered differential operator over a VarTable."""
 
@@ -72,12 +80,10 @@ class DiffOp:
         """coeff * d/d(var idx); coeff defaults to 1."""
         if isinstance(idx, str):
             idx = tab.index(idx)
-        midx = [0] * tab.size
-        midx[idx] = 1
         c = coeff if coeff is not None else Poly.one(tab)
         if not isinstance(c, Poly):
             c = Poly.constant(tab, c)
-        return DiffOp(tab, {tuple(midx): c})
+        return DiffOp(tab, {unit_index(tab, idx): c})
 
     @staticmethod
     def multiplication(coeff: Poly) -> "DiffOp":
@@ -168,9 +174,6 @@ class DiffOp:
                     else:
                         acc.pop(midx, None)
         return DiffOp(self.table, acc)
-
-    def __matmul__(self, other: "DiffOp") -> "DiffOp":
-        return self.compose(other)
 
     # -- shape -------------------------------------------------------------
 

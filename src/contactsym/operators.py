@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .contact import SpBasis, generating_labels, sp_basis
-from .diffop import DiffOp
+from .diffop import DiffOp, unit_index
 from .enumeration import compositions_with_minimum, exponents_of_degree, exponents_up_to
 from .errors import DomainError, StructuralError
 from .linalg import Echelon, sparse_nullspace
@@ -82,15 +82,14 @@ def i_alpha_op(tab: VarTable) -> DiffOp:
     half = Fraction(1, 2)
     terms: dict = {}
 
-    def unit(idx):
-        m = [0] * tab.size
-        m[idx] = 1
-        return tuple(m)
-
     for i in range(1, n + 1):
-        terms[unit(tab.fiber("xi", tab.q(i)))] = Poly.variable(tab, tab.p(i)).scale(half)
-        terms[unit(tab.fiber("xi", tab.p(i)))] = Poly.variable(tab, tab.q(i)).scale(-half)
-    terms[unit(tab.fiber("xi", tab.t))] = Poly.constant(tab, -half)
+        terms[unit_index(tab, tab.fiber("xi", tab.q(i)))] = (
+            Poly.variable(tab, tab.p(i)).scale(half)
+        )
+        terms[unit_index(tab, tab.fiber("xi", tab.p(i)))] = (
+            Poly.variable(tab, tab.q(i)).scale(-half)
+        )
+    terms[unit_index(tab, tab.fiber("xi", tab.t))] = Poly.constant(tab, -half)
     return DiffOp(tab, terms)
 
 
@@ -114,22 +113,17 @@ def gen_hamiltonian_op(module: ModuleDesc) -> DiffOp:
     xi_t = Poly.variable(tab, tab.fiber("xi", tab.t))
     terms: dict = {}
 
-    def unit(idx):
-        m = [0] * tab.size
-        m[idx] = 1
-        return tuple(m)
-
     for i in range(1, n + 1):
         # xi_q d_p - xi_p d_q, plus the xi_t E_s part on the same slots
-        terms[unit(tab.p(i))] = (
+        terms[unit_index(tab, tab.p(i))] = (
             Poly.variable(tab, tab.fiber("xi", tab.q(i)))
             + xi_t * Poly.variable(tab, tab.p(i))
         )
-        terms[unit(tab.q(i))] = (
+        terms[unit_index(tab, tab.q(i))] = (
             -Poly.variable(tab, tab.fiber("xi", tab.p(i)))
             + xi_t * Poly.variable(tab, tab.q(i))
         )
-    terms[unit(tab.t)] = -spatial_contraction_poly(tab, "xi")
+    terms[unit_index(tab, tab.t)] = -spatial_contraction_poly(tab, "xi")
     if a:
         terms[(0,) * tab.size] = xi_t.scale(a)
     return DiffOp(tab, terms)

@@ -24,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from .contact import VField, divergence
-from .diffop import DiffOp
+from .diffop import DiffOp, unit_index
 from .errors import DomainError, StructuralError, TableMismatchError
 from .poly import Poly
 from .rationals import format_rational
@@ -220,134 +221,69 @@ class SymbolElem:
 # -- actions -----------------------------------------------------------------
 
 
-def density_action(x: VField, f: Poly, lam) -> Poly:
-    """Action on lambda-densities: L^lam_X f = X(f) + lam * f * div(X)."""
-    lam = Fraction(lam)
-    out = x.apply(f)
-    if lam:
-        out = out + (f * divergence(x).convert(f.table)).scale(lam)
-    return out
+@lru_cache(maxsize=None)
+def _lie_parts(x: VField, tab: VarTable) -> tuple:
+    """First-order terms of L_X on the blocks of `tab`, and div X.
+
+    Returns ``(((slot, coeff), ...), div)`` with L_X = sum coeff * d_slot
+    + weight * div.  The weight enters only through that last term, so one
+    cache entry per (field, table) serves every weight.
+    """
+    terms: dict = {}
+
+    def add(slot: int, coeff: Poly):
+        prev = terms.get(slot)
+        coeff = coeff if prev is None else prev + coeff
+        if coeff:
+            terms[slot] = coeff
+        else:
+            terms.pop(slot, None)
+
+    for a, comp in enumerate(x.components):
+        add(a, comp.convert(tab))
+    for i, comp in enumerate(x.components):
+        for j in range(tab.base_size):
+            dji = comp.diff(j)  # dX^i/dx^j
+            if not dji:
+                continue
+            dji = dji.convert(tab)
+            for block in tab.blocks:
+                if block == "Y":
+                    # + dX^i/dx^j * Y^j * d/dY^i
+                    add(tab.fiber("Y", i), dji * Poly.variable(tab, tab.fiber("Y", j)))
+                else:
+                    # - dX^i/dx^j * xi_i * d/dxi_j
+                    add(tab.fiber(block, j), -(dji * Poly.variable(tab, tab.fiber(block, i))))
+    return tuple(terms.items()), divergence(x).convert(tab)
 
 
 def lie_action_symbol(x: VField, s: SymbolElem) -> SymbolElem:
     """L_X on a symbol: fiber degrees preserved, module unchanged."""
-    tab = s.module.table
     q = s.poly
-    out = x.apply(q)
-    jac = _jacobian(x)
-    for i in range(tab.base_size):
-        for j in range(tab.base_size):
-            dji = jac[j][i]
-            if dji.is_zero():
-                continue
-            dji = dji.convert(tab)
-            for block in s.module.blocks:
-                if block == "Y":
-                    # + dX^i/dx^j * Y^j * dQ/dY^i
-                    dq = q.diff(tab.fiber("Y", i))
-                    if dq:
-                        out = out + dji * Poly.variable(tab, tab.fiber("Y", j)) * dq
-                else:
-                    # - dX^i/dx^j * xi_i * dQ/dxi_j
-                    dq = q.diff(tab.fiber(block, j))
-                    if dq:
-                        out = out - dji * Poly.variable(tab, tab.fiber(block, i)) * dq
+    terms, div = _lie_parts(x, s.module.table)
+    out = Poly.zero(q.table)
+    for slot, coeff in terms:
+        dq = q.diff(slot)
+        if dq:
+            out = out + coeff * dq
     w = s.module.weight
     if w:
-        out = out + (q * divergence(x).convert(tab)).scale(w)
+        out = out + (div * q).scale(w)
     return SymbolElem(out, s.module)
 
 
 def lie_action_as_diffop(x: VField, module: ModuleDesc) -> DiffOp:
     """The same action packaged as a normal-ordered operator on the module table."""
     tab = module.table
-    terms: dict = {}
-
-    def add(midx, coeff: Poly):
-        if coeff.is_zero():
-            return
-        prev = terms.get(midx)
-        coeff = coeff if prev is None else prev + coeff
-        if coeff:
-            terms[midx] = coeff
-        else:
-            terms.pop(midx, None)
-
-    def unit(idx):
-        m = [0] * tab.size
-        m[idx] = 1
-        return tuple(m)
-
-    for a in range(tab.base_size):
-        add(unit(a), x.components[a].convert(tab))
-    jac = _jacobian(x)
-    for i in range(tab.base_size):
-        for j in range(tab.base_size):
-            dji = jac[j][i]
-            if dji.is_zero():
-                continue
-            dji = dji.convert(tab)
-            for block in module.blocks:
-                if block == "Y":
-                    add(unit(tab.fiber("Y", i)),
-                        dji * Poly.variable(tab, tab.fiber("Y", j)))
-                else:
-                    add(unit(tab.fiber(block, j)),
-                        -(dji * Poly.variable(tab, tab.fiber(block, i))))
+    parts, div = _lie_parts(x, tab)
+    terms = {unit_index(tab, slot): coeff for slot, coeff in parts}
     w = module.weight
     if w:
-        add((0,) * tab.size, divergence(x).convert(tab).scale(w))
+        terms[(0,) * tab.size] = div.scale(w)
     return DiffOp(tab, terms)
 
 
-def _jacobian(x: VField):
-    """jac[j][i] = d(X^i)/d(x_j) over the base table."""
-    size = x.table.base_size
-    return [[x.components[i].diff(j) for i in range(size)] for j in range(size)]
-
-
-# -- named Euler-type operators (shared by several modules) -------------------
-
-
-def spatial_euler_op(tab: VarTable) -> DiffOp:
-    """E_s = sum_s x_s d_{x_s} over the spatial base variables."""
-    out = DiffOp.zero(tab)
-    for a in tab.spatial_base():
-        out = out + DiffOp.partial(tab, a, Poly.variable(tab, a))
-    return out
-
-
-def base_euler_op(tab: VarTable) -> DiffOp:
-    """Full base Euler field, including t d_t."""
-    out = DiffOp.zero(tab)
-    for a in tab.base_range:
-        out = out + DiffOp.partial(tab, a, Poly.variable(tab, a))
-    return out
-
-
-def fiber_euler_op(tab: VarTable, block: str = "xi") -> DiffOp:
-    """E_block = sum over the whole fiber block of v d_v."""
-    out = DiffOp.zero(tab)
-    for idx in tab.block_range(block):
-        out = out + DiffOp.partial(tab, idx, Poly.variable(tab, idx))
-    return out
-
-
-def fiber_spatial_euler_op(tab: VarTable, block: str = "xi") -> DiffOp:
-    """Spatial part of the fiber Euler operator (omits the t slot)."""
-    out = DiffOp.zero(tab)
-    off = tab.block_offset(block)
-    for a in tab.spatial_base():
-        out = out + DiffOp.partial(tab, off + a, Poly.variable(tab, off + a))
-    return out
-
-
-def euler_contraction_poly(tab: VarTable, block: str = "xi") -> Poly:
-    """E(xi) = sum_s x_s xi_s + t xi_t, the pairing of the Euler field with xi."""
-    out = Poly.zero(tab)
-    for a in tab.base_range:
-        out = out + Poly.variable(tab, a) * Poly.variable(tab, tab.fiber(block, a))
-    return out
+# -- polynomial helpers shared with the operator modules ----------------------
 
 
 def spatial_contraction_poly(tab: VarTable, block: str = "xi") -> Poly:

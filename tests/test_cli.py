@@ -87,6 +87,40 @@ def test_verify_casimir_rejects_bad_base_degree_exit_2(capsys, degree):
     assert err.value.code == 2
 
 
+SUBCOMMAND_ARGS = {
+    "verify-casimir": ["--k", "1", "--delta", "1"],
+    "invariants": ["--k", "1", "--m", "0", "--l", "1", "--nu", "0"],
+    "decompose": ["--k", "1", "--delta", "1/3", "--input", "-"],
+    "classify-same-weight": ["--l", "1", "--k", "1", "--delta", "1/3"],
+    "diophantine pairs": ["--k", "1", "--kp", "1", "--delta", "1/3", "--deltap", "1/3"],
+    "diophantine discriminant": ["--k", "1", "--kp", "1", "--l", "1", "--lp", "1",
+                                 "--delta", "1/3"],
+    "diophantine kappa3": ["--k", "2", "--kp", "1", "--blocks", "2:1,0:0,1:1"],
+    "diophantine kappa4": ["--k", "2", "--kp", "1", "--delta", "1/3", "--deltap", "1/3",
+                           "--blocks", "2:1,0:0,1:1,1:0"],
+    "export-basis": [],
+}
+
+
+@pytest.mark.parametrize("n", ["0", "-1", "1.5"])
+@pytest.mark.parametrize("command", sorted(SUBCOMMAND_ARGS))
+def test_bad_n_exits_2(capsys, command, n):
+    # n = -1 once divided by n + 1 = 0; n = 0 reached domain checks (exit 3).
+    with pytest.raises(SystemExit) as err:
+        main([*command.split(), f"--n={n}", *SUBCOMMAND_ARGS[command]])
+    assert err.value.code == 2
+    assert "expected an integer >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("xdeg", ["-1", "2.5"])
+def test_invariants_rejects_bad_xdeg_exit_2(capsys, xdeg):
+    # A negative degree enumerates no monomial and reported ok: false.
+    with pytest.raises(SystemExit) as err:
+        main(["invariants", "--n", "1", "--k", "0", "--m", "0", "--l", "0", "--nu", "0",
+              f"--xdeg={xdeg}"])
+    assert err.value.code == 2
+
+
 def test_invariants_examples(capsys):
     code, out, _ = run(
         capsys, "invariants", "--n", "1", "--k", "1", "--m", "0", "--l", "1",

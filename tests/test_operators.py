@@ -28,11 +28,19 @@ from contactsym.diffop import DiffOp
 from contactsym.linalg import rank
 from contactsym.poly import Poly
 from contactsym.spectra import commutation_r, critical_set, eigenvalue
-from contactsym.symbols import RModule, SModule, SymbolElem, fiber_euler_op
+from contactsym.symbols import RModule, SModule, SymbolElem
 
 
 def elem(poly, mod):
     return SymbolElem(poly, mod)
+
+
+def fiber_euler_op(tab):
+    """E_xi = sum over the whole xi block of v d_v."""
+    out = DiffOp.zero(tab)
+    for idx in tab.block_range("xi"):
+        out = out + DiffOp.partial(tab, idx, Poly.variable(tab, idx))
+    return out
 
 
 def test_i_alpha_examples():

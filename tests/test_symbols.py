@@ -4,29 +4,70 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from contactsym.contact import contact_hamiltonian, sp_basis, vfield_bracket
+from contactsym.contact import contact_hamiltonian, divergence, sp_basis, vfield_bracket
 from contactsym.enumeration import exponents_of_degree, exponents_up_to
 from contactsym.errors import StructuralError
 from contactsym.poly import Poly
+from contactsym.selftest import _lie_action_oracle
 from contactsym.symbols import (
     RModule,
     SModule,
     SymbolElem,
-    base_euler_op,
-    density_action,
-    euler_contraction_poly,
-    fiber_euler_op,
-    fiber_spatial_euler_op,
     lie_action_as_diffop,
     lie_action_symbol,
-    spatial_euler_op,
     weight_unit,
 )
 from contactsym.diffop import DiffOp
 from contactsym.vartable import table
 
 BASE = table(1, ())
+
+
+def density_action(x, f, lam):
+    """L^lam_X f = X(f) + lam * f * div(X): the action on S^{00}_{0; lam}."""
+    return lie_action_symbol(x, SymbolElem(f, SModule(f.table.n, 0, nu=lam))).poly
+
+
+# -- named Euler-type operators ---------------------------------------------
+
+
+def _euler_op(tab, indices):
+    """sum v d_v over the given variable indices."""
+    out = DiffOp.zero(tab)
+    for idx in indices:
+        out = out + DiffOp.partial(tab, idx, Poly.variable(tab, idx))
+    return out
+
+
+def spatial_euler_op(tab):
+    """E_s = sum_s x_s d_{x_s} over the spatial base variables."""
+    return _euler_op(tab, tab.spatial_base())
+
+
+def base_euler_op(tab):
+    """Full base Euler field, including t d_t."""
+    return _euler_op(tab, tab.base_range)
+
+
+def fiber_euler_op(tab, block="xi"):
+    """E_block = sum over the whole fiber block of v d_v."""
+    return _euler_op(tab, tab.block_range(block))
+
+
+def fiber_spatial_euler_op(tab, block="xi"):
+    """Spatial part of the fiber Euler operator (omits the t slot)."""
+    return _euler_op(tab, [tab.fiber(block, a) for a in tab.spatial_base()])
+
+
+def euler_contraction_poly(tab, block="xi"):
+    """E(xi) = sum_s x_s xi_s + t xi_t, the pairing of the Euler field with xi."""
+    out = Poly.zero(tab)
+    for a in tab.base_range:
+        out = out + Poly.variable(tab, a) * Poly.variable(tab, tab.fiber(block, a))
+    return out
 
 
 def test_module_weights():
@@ -123,7 +164,46 @@ def test_action_diffop_agrees_with_symbol_action():
         for _ in range(20):
             exp = rng.choice(bases) + rng.choice(fibers)
             mono = Poly.monomial(tab, exp)
-            assert op.apply(mono) == lie_action_symbol(g.field, SymbolElem(mono, mod)).poly
+            want = _lie_action_oracle(g.field, mono, mod)
+            assert op.apply(mono) == want
+            assert lie_action_symbol(g.field, SymbolElem(mono, mod)).poly == want
+
+
+N1_LABELS = [g.label for g in sp_basis(1).generators]
+weights = st.fractions(min_value=-2, max_value=2, max_denominator=7)
+
+
+@st.composite
+def s_symbols(draw):
+    """A random element of an n=1 S-module with xi, eta and Y blocks."""
+    mod = SModule(1, *(draw(st.integers(1, 2)) for _ in range(3)), draw(weights))
+    tab = mod.table
+    nb = tab.base_size
+    fibers = [exponents_of_degree(nb, d) for d in (mod.k, mod.m, mod.l)]
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        exp = draw(st.sampled_from(exponents_up_to(nb, 2)))
+        for block in fibers:
+            exp += draw(st.sampled_from(block))
+        terms[exp] = Fraction(draw(st.integers(1, 3)))
+    return SymbolElem(Poly(tab, terms), mod)
+
+
+@settings(max_examples=40, deadline=None)
+@given(s_symbols(), st.sampled_from(N1_LABELS), st.sampled_from(N1_LABELS), weights)
+def test_action_routes_agree_on_s_modules(s, la, lb, nu):
+    basis = sp_basis(1)
+    mod = s.module
+    other = SModule(1, mod.k, mod.m, mod.l, nu)
+    xa = basis.field(la)
+    for x in (xa, vfield_bracket(xa, basis.field(lb))):
+        want = _lie_action_oracle(x, s.poly, mod)
+        op = lie_action_as_diffop(x, mod)
+        assert lie_action_symbol(x, s).poly == want
+        assert op.apply(s.poly) == want
+        # Only w * div X depends on the weight.
+        shift = divergence(x).convert(mod.table).scale(mod.nu - nu)
+        assert op - lie_action_as_diffop(x, other) == DiffOp.multiplication(shift)
 
 
 def test_density_action_examples():
