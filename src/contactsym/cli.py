@@ -128,7 +128,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=positive, default=1)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--delta", type=rational, required=True)
-    p.add_argument("--max-base-degree", type=natural, default=4)
+    p.add_argument(
+        "--max-base-degree", type=natural, default=4,
+        help="base degree D of the monomial span x^a xi^b, |a| <= min(D, 2), on which "
+        "the spectrum is certified; values of 2 and above change only the echoed D",
+    )
     common(p)
 
     p = sub.add_parser("invariants", help="invariant tensor fields in S^{km}_{l;nu}")

@@ -64,6 +64,13 @@ def relation_R(n: int, k: int, kp: int, l: int, lp: int, delta, deltap) -> Fract
     )
 
 
+def require_blocks_in_range(k: int, kp: int, blocks):
+    """Raise DomainError unless every block (l, l') has 0 <= l <= k, 0 <= l' <= k'."""
+    for l, lp in blocks:
+        if not (0 <= l <= k and 0 <= lp <= kp):
+            raise DomainError(f"block ({l}, {lp}) outside 0..{k} x 0..{kp}")
+
+
 @dataclass(frozen=True)
 class DioInstance:
     """Block data for an invariant operator R^k_delta -> R^k'_delta'."""
@@ -81,9 +88,7 @@ class DioInstance:
         object.__setattr__(self, "blocks", tuple((int(a), int(b)) for a, b in self.blocks))
         require_noncritical(self.delta, self.k, self.n)
         require_noncritical(self.deltap, self.kp, self.n)
-        for l, lp in self.blocks:
-            if not (0 <= l <= self.k and 0 <= lp <= self.kp):
-                raise DomainError(f"block ({l}, {lp}) outside 0..{self.k} x 0..{self.kp}")
+        require_blocks_in_range(self.k, self.kp, self.blocks)
 
     def deltas(self, j: int):
         """(D_j, D'_j, S_j, S'_j) for the 1-based block index j >= 2 (blocks[0] is block 1)."""
@@ -148,6 +153,7 @@ def discriminant_analysis(n: int, k: int, kp: int, l: int, lp: int, delta) -> di
     roots when the discriminant is a rational square, and the flag for
     real admissibility (discriminant >= 0).
     """
+    require_blocks_in_range(k, kp, [(l, lp)])
     delta = Fraction(delta)
     n1 = n + 1
     # R as a function of deltap:  a*dp^2 + b*dp + c
@@ -225,6 +231,7 @@ def kappa3_delta_prime(n: int, kp: int, blocks) -> Fraction:
 
 def kappa3_system_solution(n: int, k: int, kp: int, blocks):
     """(delta, delta') solving {R'_2 = 0, R'_3 = 0}; the independent oracle."""
+    require_blocks_in_range(k, kp, blocks)
     (d2, dp2, s2, sp2), (d3, dp3, s3, sp3), det = _kappa3_parts(blocks)
     if det == 0:
         raise SingularSystemError("the (D_j, D'_j) pairs are dependent")

@@ -185,6 +185,24 @@ def test_criterion_06_invariant_dimensions():
     report(6, f"solver dimension equals the counting system on {checked} queries (k+m+l <= 4)")
 
 
+def test_criterion_06_half_lattice_weights():
+    # nu with 2(n+1) nu odd lies halfway between lattice weights: no invariant.
+    checked = 0
+    for n, top in ((1, 3), (2, 2)):
+        for k in range(top + 1):
+            for m in range(top + 1 - k):
+                for l in range(top + 1 - k - m):
+                    for odd in range(-2 * (n + 1) * l - 1, 2 * (n + 1) * (k + m) + 2, 2):
+                        nu = Fraction(odd, 2 * (n + 1))
+                        for algebra, contact in (("affine_contact", False), ("full_sp", True)):
+                            dim, _ = invariant_space_dim(InvariantQuery(n, k, m, l, nu, algebra))
+                            assert dim == count_S1(n, k, m, l, nu, contact) == 0, (
+                                n, k, m, l, nu, algebra,
+                            )
+                            checked += 1
+    report(6, f"no invariant at half-lattice nu on {checked} queries (n = 1, 2)")
+
+
 def test_criterion_07_generator_invariance():
     for n in (1, 2):
         basis = sp_basis(n)

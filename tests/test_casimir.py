@@ -2,8 +2,11 @@
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import contactsym.casimir
 from contactsym.casimir import (
@@ -18,9 +21,10 @@ from contactsym.casimir import (
     verify_diagonal_form,
 )
 from contactsym.contact import sp_basis
+from contactsym.linalg import exact_nullspace
 from contactsym.operators import decompose
 from contactsym.poly import Poly
-from contactsym.spectra import c_value, eigenvalue
+from contactsym.spectra import c_value, critical_set, eigenvalue
 from contactsym.symbols import RModule, SymbolElem, lie_action_as_diffop
 
 
@@ -86,15 +90,47 @@ def _matrix(n, k, delta, base_degree):
     return casimir_matrix(assemble_casimir(n, k, delta), n, k, delta, base_degree)
 
 
+def _dense(restricted):
+    """The dense matrix <e_i, C e_j> of a restriction: the reference oracle."""
+    index = {exp: i for i, exp in enumerate(restricted.family)}
+    size = len(index)
+    rows = [[Fraction(0)] * size for _ in range(size)]
+    for j, exp in enumerate(restricted.family):
+        for out_exp, coeff in restricted.images[exp].items():
+            rows[index[out_exp]][j] = coeff
+    return rows
+
+
+def _shifted(rows, eps):
+    return [[x - (eps if i == j else 0) for j, x in enumerate(row)] for i, row in enumerate(rows)]
+
+
+def _dense_annihilated(restricted, spectrum):
+    """prod_l (M - eps_l I) == 0, multiplied out densely."""
+    rows = _dense(restricted)
+    size = len(rows)
+    acc = [[Fraction(int(i == j)) for j in range(size)] for i in range(size)]
+    for eps in spectrum:
+        shifted = _shifted(rows, eps)
+        acc = [[sum((acc[i][r] * shifted[r][j] for r in range(size)), Fraction(0))
+                for j in range(size)] for i in range(size)]
+    return all(x == 0 for row in acc for x in row)
+
+
+def _dense_dimension(restricted, eps):
+    rows = _dense(restricted)
+    return len(exact_nullspace(_shifted(rows, eps), len(rows)))
+
+
 def test_casimir_matrix_cases():
     zero = _matrix(1, 0, Fraction(0), 1)
-    assert all(all(x == 0 for x in row) for row in zero.matrix)
+    assert not any(zero.images.values())
     assert len(zero.family) == 4 and not zero.overflow
 
     small = _matrix(1, 1, Fraction(1), 0)
     # only xi_t survives the closure shrink at D=0
     assert len(small.family) == 1
-    assert small.matrix == ((Fraction(0),),)
+    assert small.images == {small.family[0]: {}}
     assert small.annihilated_by_spectrum()
 
     mid = _matrix(1, 1, Fraction(1), 1)
@@ -105,6 +141,45 @@ def test_casimir_matrix_cases():
 
     big = _matrix(1, 2, Fraction(1, 3), 1)
     assert big.annihilated_by_spectrum()
+
+
+@pytest.fixture(scope="module", params=[Fraction(1, 3), Fraction(-5, 6)], ids=str)
+def restricted_n2k3(request):
+    # At -5/6 the base-degree-2 span keeps 534 monomials, at 1/3 only 46.
+    return _matrix(2, 3, request.param, 2)
+
+
+def test_eigenspaces_fill_the_family_n2k3(restricted_n2k3):
+    mod = restricted_n2k3.module
+    dims = [restricted_n2k3.eigenspace_dimension(eigenvalue(2, 3, l, mod.delta))
+            for l in range(4)]
+    assert sum(dims) == len(restricted_n2k3.family)
+
+
+def test_shifted_top_eigenvalue_breaks_certificate(restricted_n2k3, monkeypatch):
+    def shifted(n, k, l, delta):
+        return eigenvalue(n, k, l, delta) + (1 if l == k else 0)
+
+    assert restricted_n2k3.annihilated_by_spectrum()
+    monkeypatch.setattr(contactsym.casimir, "eigenvalue", shifted)
+    assert not restricted_n2k3.annihilated_by_spectrum()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.integers(0, 3), st.integers(0, 2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7), st.integers(0, 1),
+)
+def test_sparse_spectrum_matches_dense_oracle(k, base_degree, delta, shift):
+    # shift = 1 moves the top eigenvalue, so both verdicts of the certificate occur.
+    if delta in critical_set(k, 1):
+        delta += 7
+    restricted = _matrix(1, k, delta, base_degree)
+    spectrum = [eigenvalue(1, k, l, delta) + (shift if l == k else 0) for l in range(k + 1)]
+    with mock.patch.object(contactsym.casimir, "eigenvalue", lambda n, k, l, d: spectrum[l]):
+        assert restricted.annihilated_by_spectrum() == _dense_annihilated(restricted, spectrum)
+    for eps in spectrum:
+        assert restricted.eigenspace_dimension(eps) == _dense_dimension(restricted, eps)
 
 
 def test_centrality_on_family():

@@ -42,6 +42,18 @@ def test_verify_casimir_pass(capsys):
     assert doc["results"]["spectrum_certified"] is True
 
 
+def test_verify_casimir_certifies_534_monomial_family(capsys):
+    # At -5/6 the base-degree-2 span keeps 534 monomials; the dense product
+    # over them once ran for minutes.
+    code, out, _ = run(
+        capsys, "verify-casimir", "--n", "2", "--k", "3", "--delta=-5/6", "--format", "json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["ok"] is True
+    assert doc["results"]["spectrum_certified"] is True
+
+
 def test_verify_casimir_trivial_weight(capsys):
     code, out, _ = run(
         capsys, "verify-casimir", "--n", "1", "--k", "0", "--delta", "0",
@@ -225,6 +237,22 @@ def test_diophantine_kappa3_verified(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["results"]["system_solution_matches"] is True
+
+
+@pytest.mark.parametrize("argv, block", [
+    (["kappa3", "--k", "2", "--kp", "1", "--blocks", "5:1,0:0,1:1"], "(5, 1)"),
+    (["kappa3", "--k", "2", "--kp", "1", "--blocks", "2:1,0:-1,1:1"], "(0, -1)"),
+    (["discriminant", "--k", "1", "--kp", "1", "--l", "3", "--lp", "0", "--delta", "1/3"],
+     "(3, 0)"),
+    (["discriminant", "--k", "1", "--kp", "1", "--l", "0", "--lp=-1", "--delta", "1/3"],
+     "(0, -1)"),
+], ids=["kappa3-l", "kappa3-lp", "discriminant-l", "discriminant-lp"])
+def test_diophantine_block_out_of_range_exit_3(capsys, argv, block):
+    # Both once reported a result for blocks no module of degree k, k' has.
+    code, out, err = run(capsys, "diophantine", argv[0], "--n", "1", *argv[1:])
+    assert code == 3
+    assert out == ""
+    assert f"block {block} outside" in err
 
 
 def test_classify_same_weight_cli(capsys):

@@ -247,11 +247,16 @@ def test_generating_set_must_stay_in_the_algebra():
 
 
 def test_generating_set_is_built_lazily():
-    # Import, sp_basis and structure_constants do no generating-set work.
+    # Import, sp_basis and structure_constants do no generating-set work,
+    # and leave the Lie-action, unit-operator and exponent caches cold.
     code = (
+        "import contactsym\n"
+        "from contactsym import diffop, enumeration, symbols\n"
         "from contactsym.contact import generating_labels, sp_basis\n"
         "sp_basis(2).structure_constants()\n"
-        "assert generating_labels.cache_info().currsize == 0\n"
+        "for cached in (generating_labels, symbols._lie_parts, diffop.unit_index,\n"
+        "               enumeration.exponents_of_degree):\n"
+        "    assert cached.cache_info().currsize == 0, cached.__name__\n"
     )
     src = Path(__file__).resolve().parent.parent / "src"
     subprocess.run([sys.executable, "-c", code], check=True,
