@@ -27,6 +27,7 @@ from .diophantine import (
     kappa3_delta_prime,
     kappa3_system_solution,
     kappa4_consistency,
+    relation_R,
 )
 from .errors import DomainError, StructuralError
 from .invariants import InvariantQuery, invariants_report
@@ -335,6 +336,13 @@ def cmd_diophantine(args) -> int:
         deltap = kappa3_delta_prime(args.n, args.kp, args.blocks)
         sys_delta, sys_deltap = kappa3_system_solution(args.n, args.k, args.kp, args.blocks)
         verified = delta == sys_delta and deltap == sys_deltap
+        # The linear system only matches differences R_1 - R_j; the
+        # eigenvalues coincide only where every R_j itself vanishes.
+        relations_hold = all(
+            relation_R(args.n, args.k, args.kp, l, lp, delta, deltap) == 0
+            for l, lp in args.blocks
+        )
+        ok = verified and relations_hold
         report = {
             "command": "diophantine kappa3",
             "parameters": {
@@ -345,11 +353,14 @@ def cmd_diophantine(args) -> int:
                 "delta": format_rational(delta),
                 "deltap": format_rational(deltap),
                 "system_solution_matches": verified,
+                "relations_hold": relations_hold,
+                "delta_critical": delta in critical_set(args.k, args.n),
+                "deltap_critical": deltap in critical_set(args.kp, args.n),
             },
-            "ok": verified,
+            "ok": ok,
         }
         emit(report, args.format)
-        return EXIT_OK if verified else EXIT_PROPERTY
+        return EXIT_OK if ok else EXIT_PROPERTY
     # kappa4
     instance = DioInstance(args.n, args.k, args.kp, args.delta, args.deltap, args.blocks)
     res = kappa4_consistency(instance)

@@ -12,6 +12,12 @@ Composition expands by the Leibniz rule
     (f d^a) o (g d^b) = f * sum_{c <= a} binom(a, c) d^c(g) d^{a-c+b},
 
 which keeps the result normal-ordered and is exact over the rationals.
+
+DiffOp.commutator computes self o t - t o src for first-order self and src
+(the Lie derivative L_X on two modules) without either product.  The c = 0
+terms f g_j d^(m+j) of t o src cancel against the matching terms of self o t,
+so only the coefficient differences self[j] - src[j] survive, next to the
+derivatives of t's coefficients and the c != 0 terms of t o src.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import add, gt
 from typing import Mapping
 
 from .errors import StructuralError, TableMismatchError
@@ -30,11 +37,33 @@ _ZERO = Fraction(0)
 
 @lru_cache(maxsize=None)
 def _sub_indices(midx: tuple) -> tuple:
-    """All multi-indices c with 0 <= c <= midx, with their binomial weights."""
+    """All multi-indices c with 0 <= c <= midx, with their binomial weights.
+
+    The zero index comes first.
+    """
     out = [((), 1)]
     for a in midx:
         out = [(prefix + (c,), w * comb(a, c)) for prefix, w in out for c in range(a + 1)]
     return tuple(out)
+
+
+def _shift(a: tuple, b: tuple) -> tuple:
+    return tuple(map(add, a, b))
+
+
+def _add_product(acc: dict, midx: tuple, f: Poly, g: Poly, w) -> None:
+    """acc[midx] += w * f * g, on raw {exp: coeff} buckets."""
+    bucket = acc.setdefault(midx, {})
+    for e1, c1 in f.terms.items():
+        if w != 1:
+            c1 = c1 * w
+        for e2, c2 in g.terms.items():
+            e = _shift(e1, e2)
+            s = bucket.get(e, _ZERO) + c1 * c2
+            if s:
+                bucket[e] = s
+            else:
+                bucket.pop(e, None)
 
 
 @lru_cache(maxsize=None)
@@ -174,6 +203,51 @@ class DiffOp:
                     else:
                         acc.pop(midx, None)
         return DiffOp(self.table, acc)
+
+    def commutator(self, t: "DiffOp", src: "DiffOp") -> "DiffOp":
+        """self o t - t o src for first-order self and src, without full products.
+
+        With self = sum_j a_j d^j and src = sum_j g_j d^j (|j| <= 1), the
+        c = 0 Leibniz terms f g_j d^(m+j) of t o src cancel against the
+        f a_j d^(m+j) terms of self o t, term f d^m of t by term, leaving
+
+            sum_{|s| = 1} a_s d^s(f) d^m  +  sum_j f (a_j - g_j) d^(m+j)
+            - sum_j sum_{0 != c <= m} binom(m, c) f d^c(g_j) d^(m-c+j).
+
+        For L_X at two weights only a_0 - g_0 = (w_tgt - w_src) div X is
+        nonzero.  Raises StructuralError when self or src has order >= 2.
+        """
+        self._check(t)
+        self._check(src)
+        if self.order() > 1 or src.order() > 1:
+            raise StructuralError("commutator needs first-order operators around t")
+        first = [(midx.index(1), a) for midx, a in self.terms.items() if sum(midx)]
+        gaps = []
+        for j in {**self.terms, **src.terms}:
+            a, g = self.terms.get(j), src.terms.get(j)
+            if a is g:  # L_X at two weights shares its first-order coefficients
+                continue
+            gap = a if g is None else (-g if a is None else a - g)
+            if gap:
+                gaps.append((j, gap))
+        # d^c(g) vanishes unless c <= the largest exponents of g, slot by slot.
+        caps = [(j, g, tuple(map(max, zip(*g.terms)))) for j, g in src.terms.items()]
+        acc: dict = {}
+        for m, f in t.terms.items():
+            for s, a in first:
+                _add_product(acc, m, a, f.diff(s), 1)
+            for j, gap in gaps:
+                _add_product(acc, _shift(m, j), f, gap, 1)
+            for j, g, cap in caps:
+                for c, w in _sub_indices(m)[1:]:
+                    if any(map(gt, c, cap)):
+                        continue
+                    dg = g.diff_multi(c)
+                    if dg:
+                        midx = tuple(a - cc + b for a, cc, b in zip(m, c, j))
+                        _add_product(acc, midx, f, dg, -w)
+        tab = self.table
+        return DiffOp(tab, {midx: Poly(tab, bucket) for midx, bucket in acc.items()})
 
     # -- shape -------------------------------------------------------------
 

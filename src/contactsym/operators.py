@@ -353,8 +353,11 @@ def classify_same_weight(n: int, l: int, k: int, delta, order_bound: int):
     a set of fields implies intertwining the Lie algebra they generate.
     Rows are therefore imposed only for contact.generating_labels, which
     together with the filtered fields generate sp(2n+2); that set is
-    certified by bracket closure over the structure constants.  The rows
-    feed an exact sparse kernel computation on the restricted coefficients.
+    certified by bracket closure over the structure constants.  Each row
+    set is the fiber restriction of L_X^tgt o T - T o L_X^src, taken from
+    the first-order commutator kernel DiffOp.commutator, which skips the
+    products that cancel.  The rows feed an exact sparse kernel computation
+    on the restricted coefficients.
 
     Returns (dimension, list of ModuleOp kernel representatives).
     """
@@ -420,7 +423,7 @@ def classify_same_weight(n: int, l: int, k: int, delta, order_bound: int):
     rows: dict = {}
     for col, (_, _, _, t_u) in enumerate(columns):
         for g_idx, (l_src, l_tgt) in enumerate(actions):
-            bracket = l_tgt.compose(t_u) - t_u.compose(l_src)
+            bracket = l_tgt.commutator(t_u, l_src)
             for (b, gamma), bucket in fiber_restriction(bracket, l).items():
                 for exp, c in bucket.items():
                     rows.setdefault((g_idx, b, gamma, exp), {})[col] = c
@@ -452,8 +455,7 @@ def intertwines_all_generators(op: ModuleOp, basis: SpBasis) -> bool:
     for gen in basis.generators:
         l_src = lie_action_as_diffop(gen.field, op.source)
         l_tgt = lie_action_as_diffop(gen.field, op.target)
-        bracket = l_tgt.compose(op.diffop) - op.diffop.compose(l_src)
-        if fiber_restriction(bracket, l):
+        if fiber_restriction(l_tgt.commutator(op.diffop, l_src), l):
             return False
     return True
 

@@ -488,7 +488,7 @@ def check_centrality(level, rng, **_):
             cas = assemble_casimir(n, k, delta, "dual_sum")
             for g in basis.generators:
                 act = lie_action_as_diffop(g.field, mod)
-                if fiber_restriction(cas.compose(act) - act.compose(cas), k):
+                if fiber_restriction(act.commutator(cas, act), k):
                     return CheckResult(
                         "casimir.centrality", False, f"[C, L_{g.label}] != 0 at k={k}, delta={delta}"
                     )

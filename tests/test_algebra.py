@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from contactsym.diffop import DiffOp
-from contactsym.errors import TableMismatchError, UnknownVariableError
+from contactsym.errors import StructuralError, TableMismatchError, UnknownVariableError
 from contactsym.linalg import exact_nullspace, sparse_nullspace
 from contactsym.poly import Poly, poly_from_json
 from contactsym.vartable import table
@@ -84,6 +84,29 @@ def test_diff_is_derivation(a, b, idx):
     assert (a * b).diff(idx) == a.diff(idx) * b + a * b.diff(idx)
 
 
+def iterated_diff(p, midx):
+    """The reference for Poly.diff_multi: one single partial at a time."""
+    for idx, rep in enumerate(midx):
+        for _ in range(rep):
+            p = p.diff(idx)
+    return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), st.tuples(*[st.integers(0, 3)] * TAB.size))
+def test_diff_multi_matches_iterated_diff(a, midx):
+    # Orders up to 3 against exponents up to 2: zero results are common.
+    assert a.diff_multi(midx) == iterated_diff(a, midx)
+
+
+def test_diff_multi_examples():
+    x = var("p1")
+    p1p1 = tuple(2 if i == 0 else 0 for i in range(TAB.size))
+    assert (x**3 * var("xi_t")).diff_multi(p1p1) == (x * var("xi_t")).scale(6)
+    assert (x * var("q1")).diff_multi(p1p1) == Poly.zero(TAB)
+    assert x.diff_multi((0,) * TAB.size) == x
+
+
 # -- differential operators ---------------------------------------------------
 
 
@@ -150,6 +173,46 @@ def test_compose_associativity(a, b, c):
 @given(operator_strategy(), operator_strategy(), polys())
 def test_compose_matches_application(a, b, f):
     assert a.compose(b).apply(f) == a.apply(b.apply(f))
+
+
+FIRST_ORDER = [(0,) * TAB.size] + [
+    tuple(int(i == j) for i in range(TAB.size)) for j in range(TAB.size)
+]
+
+
+@st.composite
+def commutator_operands(draw):
+    """First-order self and src, partly sharing coefficient objects, and t of order <= 3."""
+    part = st.dictionaries(st.sampled_from(FIRST_ORDER), polys(2), max_size=4)
+    shared = draw(part)
+    own = DiffOp(TAB, {**draw(part), **shared})
+    src = DiffOp(TAB, {**draw(part), **shared})
+    slots = st.lists(st.integers(0, TAB.size - 1), max_size=3).map(
+        lambda idx: tuple(idx.count(i) for i in range(TAB.size))
+    )
+    t = DiffOp(TAB, draw(st.dictionaries(slots, polys(3), max_size=3)))
+    return own, t, src
+
+
+@settings(max_examples=80, deadline=None)
+@given(commutator_operands())
+def test_commutator_matches_compose_difference(operands):
+    own, t, src = operands
+    assert own.commutator(t, src) == own.compose(t) - t.compose(src)
+
+
+@pytest.mark.parametrize("second_order", [
+    tuple(2 if i == 0 else 0 for i in range(TAB.size)),
+    tuple(1 if i in (0, 3) else 0 for i in range(TAB.size)),
+])
+def test_commutator_rejects_second_order(second_order):
+    first = DiffOp.partial(TAB, "p1", var("q1")) + DiffOp.identity(TAB)
+    second = first + DiffOp(TAB, {second_order: var("t")})
+    t = DiffOp.partial(TAB, "xi_t", var("p1"))
+    with pytest.raises(StructuralError):
+        second.commutator(t, first)
+    with pytest.raises(StructuralError):
+        first.commutator(t, second)
 
 
 # -- exact nullspace ----------------------------------------------------------

@@ -230,13 +230,33 @@ def test_diophantine_pairs_critical_exit_3(capsys):
 
 
 def test_diophantine_kappa3_verified(capsys):
+    # A census configuration: every R_j vanishes at the forced pair, and
+    # neither weight is critical.
+    code, out, _ = run(
+        capsys, "diophantine", "kappa3", "--n", "1", "--k", "4", "--kp", "6",
+        "--blocks", "0:4,1:0,2:5", "--format", "json",
+    )
+    assert code == 0
+    res = json.loads(out)["results"]
+    assert (res["delta"], res["deltap"]) == ("-11/6", "-5/3")
+    assert res["system_solution_matches"] is True
+    assert res["relations_hold"] is True
+    assert res["delta_critical"] is False and res["deltap_critical"] is False
+
+
+def test_diophantine_kappa3_relations_fail_exit_1(capsys):
+    # The linear system is solved at (0, 1/2), but there R = 2 for every
+    # block; this once reported ok: true.
     code, out, _ = run(
         capsys, "diophantine", "kappa3", "--n", "1", "--k", "2", "--kp", "1",
         "--blocks", "2:1,0:0,1:1", "--format", "json",
     )
-    assert code == 0
+    assert code == 1
     doc = json.loads(out)
-    assert doc["results"]["system_solution_matches"] is True
+    assert doc["ok"] is False
+    res = doc["results"]
+    assert res["system_solution_matches"] is True and res["relations_hold"] is False
+    assert res["delta_critical"] is True and res["deltap_critical"] is False
 
 
 @pytest.mark.parametrize("argv, block", [

@@ -292,6 +292,19 @@ def test_classify_n2_spot():
         assert intertwines_all_generators(op, basis)
 
 
+def test_classify_rows_need_no_compose(monkeypatch):
+    # Rows and rechecks come from DiffOp.commutator alone: a later edit that
+    # falls back to full products fails here instead of only running slower.
+    def refuse(*_):
+        raise AssertionError("DiffOp.compose called")
+
+    monkeypatch.setattr(DiffOp, "compose", refuse)
+    dim, ops = classify_same_weight(1, 1, 1, Fraction(1, 3), 2)
+    assert dim == same_weight_predicted_count(1, 1, 2)
+    basis = sp_basis(1)
+    assert all(intertwines_all_generators(op, basis) for op in ops)
+
+
 def test_decompose_n2():
     mod = RModule(2, 2, Fraction(1, 3))
     tab = mod.table
