@@ -17,9 +17,11 @@ operators agree on fiber degree k iff their difference has an empty
 fiber_restriction, the canonical form of its action on that subspace.
 
 The spectrum is certified on a C-invariant monomial family through the
-sparse image columns C e: every kept e must satisfy prod_l (C - eps_l) e
-= 0.  The factors act on one vector at a time (Wiedemann's black-box
-idea), so no dense matrix or matrix product is ever formed.
+sparse image columns C e, read from fiber_restriction(C, k) rather than by
+applying C, so the certificate and the equality test read the same form.
+Every kept e must satisfy prod_l (C - eps_l) e = 0.  The factors act on one
+vector at a time (Wiedemann's black-box idea), so no dense matrix or matrix
+product is ever formed.
 """
 
 from __future__ import annotations
@@ -27,10 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from math import perm, prod
+from operator import gt, sub
 from typing import Optional
 
 from .contact import sp_basis
-from .diffop import DiffOp
+from .diffop import DiffOp, add_product
 from .enumeration import exponents_of_degree, exponents_up_to
 from .errors import DomainError
 from .linalg import Echelon
@@ -218,18 +222,47 @@ class CasimirMatrix:
         return len(self.family) - shifted.rank
 
 
+def image_columns(op: DiffOp, k: int, family) -> dict:
+    """{e: op(e) as {exp: Fraction}} for monomials e = x^a xi^b with |b| = k.
+
+    Each column is read from form = fiber_restriction(op, k), the same
+    canonical form that decides operator equality, without applying op:
+
+        op(x^a xi^b) = sum_{gamma <= a} a!/(a - gamma)! x^(a - gamma) form[(b, gamma)].
+    """
+    tab = op.table
+    nb = tab.base_size
+    pad = (0,) * (tab.size - nb)
+    by_fiber: dict = {}
+    for (b, gamma), bucket in fiber_restriction(op, k).items():
+        by_fiber.setdefault(b, []).append((gamma, bucket))
+    images = {}
+    for exp in family:
+        a = exp[:nb]
+        col: dict = {}
+        for gamma, bucket in by_fiber.get(exp[nb:], ()):
+            if any(map(gt, gamma, a)):
+                continue
+            rest = tuple(map(sub, a, gamma)) + pad
+            add_product(col, {rest: 1}, bucket, prod(map(perm, a, gamma)))
+        images[exp] = col
+    return images
+
+
 def casimir_matrix(cas: DiffOp, n: int, k: int, delta, base_degree: int) -> CasimirMatrix:
     """Restrict the assembled Casimir cas to {x^a xi^b : |a| <= D, |b| = k}.
 
-    The Casimir can raise the base degree of individual monomials, so the
-    span is shrunk to its largest C-invariant monomial subfamily; the
-    dropped monomials are reported as overflow columns.
+    The image columns come from the restricted form fiber_restriction(cas,
+    k) through image_columns; cas is never applied to a monomial.  The
+    Casimir can raise the base degree of individual monomials, so the span
+    is shrunk to its largest C-invariant monomial subfamily; the dropped
+    monomials are reported as overflow columns.
     """
     delta = Fraction(delta)
     module = RModule(n, k, delta)
-    tab, family = monomial_family(n, k, base_degree)
+    _, family = monomial_family(n, k, base_degree)
     family = sorted(family, key=grlex_key)
-    images = {exp: cas.apply(Poly.monomial(tab, exp)).terms for exp in family}
+    images = image_columns(cas, k, family)
     kept = set(family)
     changed = True
     while changed:

@@ -343,6 +343,13 @@ def cmd_diophantine(args) -> int:
             for l, lp in args.blocks
         )
         ok = verified and relations_hold
+        delta_critical = delta in critical_set(args.k, args.n)
+        deltap_critical = deltap in critical_set(args.kp, args.n)
+        # admissible_pairs raises at a critical weight, where injectivity is
+        # not forced by distinct eigenvalues anyway.
+        injective = None
+        if not (delta_critical or deltap_critical):
+            _, injective = admissible_pairs(args.n, args.k, args.kp, delta, deltap)
         report = {
             "command": "diophantine kappa3",
             "parameters": {
@@ -354,8 +361,9 @@ def cmd_diophantine(args) -> int:
                 "deltap": format_rational(deltap),
                 "system_solution_matches": verified,
                 "relations_hold": relations_hold,
-                "delta_critical": delta in critical_set(args.k, args.n),
-                "deltap_critical": deltap in critical_set(args.kp, args.n),
+                "delta_critical": delta_critical,
+                "deltap_critical": deltap_critical,
+                "injective": injective,
             },
             "ok": ok,
         }

@@ -18,6 +18,10 @@ DiffOp.commutator computes self o t - t o src for first-order self and src
 terms f g_j d^(m+j) of t o src cancel against the matching terms of self o t,
 so only the coefficient differences self[j] - src[j] survive, next to the
 derivatives of t's coefficients and the c != 0 terms of t o src.
+
+DiffOp.apply and DiffOp.commutator share one cap rule: d^c(g) vanishes
+unless c is at most the largest exponent of g in every slot, so a term whose
+multi-index exceeds that cap is skipped before any derivative is taken.
 """
 
 from __future__ import annotations
@@ -51,13 +55,12 @@ def _shift(a: tuple, b: tuple) -> tuple:
     return tuple(map(add, a, b))
 
 
-def _add_product(acc: dict, midx: tuple, f: Poly, g: Poly, w) -> None:
-    """acc[midx] += w * f * g, on raw {exp: coeff} buckets."""
-    bucket = acc.setdefault(midx, {})
-    for e1, c1 in f.terms.items():
+def add_product(bucket: dict, f: Mapping, g: Mapping, w) -> None:
+    """bucket += w * f * g, on raw {exp: coeff} term maps."""
+    for e1, c1 in f.items():
         if w != 1:
             c1 = c1 * w
-        for e2, c2 in g.terms.items():
+        for e2, c2 in g.items():
             e = _shift(e1, e2)
             s = bucket.get(e, _ZERO) + c1 * c2
             if s:
@@ -173,15 +176,24 @@ class DiffOp:
     # -- action and composition --------------------------------------------
 
     def apply(self, a: Poly) -> Poly:
-        """Apply to a polynomial: sum of coeff * (iterated partials of a)."""
+        """Apply to a polynomial: sum of coeff * (iterated partials of a).
+
+        d^midx(a) vanishes unless midx <= the largest exponents of a, slot
+        by slot (the rule commutator uses), so other terms are skipped; the
+        products accumulate in one bucket.
+        """
         if a.table != self.table:
             raise TableMismatchError(f"{a.table} vs {self.table}")
-        out = Poly.zero(self.table)
-        for midx, coeff in self.terms.items():
-            d = a.diff_multi(midx)
-            if d:
-                out = out + coeff * d
-        return out
+        acc: dict = {}
+        if a.terms:
+            cap = tuple(map(max, zip(*a.terms)))
+            for midx, coeff in self.terms.items():
+                if any(map(gt, midx, cap)):
+                    continue
+                d = a.diff_multi(midx)
+                if d:
+                    add_product(acc, coeff.terms, d.terms, 1)
+        return Poly(self.table, acc)
 
     def compose(self, other: "DiffOp") -> "DiffOp":
         """Normal-ordered product self o other (apply other first)."""
@@ -235,9 +247,9 @@ class DiffOp:
         acc: dict = {}
         for m, f in t.terms.items():
             for s, a in first:
-                _add_product(acc, m, a, f.diff(s), 1)
+                add_product(acc.setdefault(m, {}), a.terms, f.diff(s).terms, 1)
             for j, gap in gaps:
-                _add_product(acc, _shift(m, j), f, gap, 1)
+                add_product(acc.setdefault(_shift(m, j), {}), f.terms, gap.terms, 1)
             for j, g, cap in caps:
                 for c, w in _sub_indices(m)[1:]:
                     if any(map(gt, c, cap)):
@@ -245,7 +257,7 @@ class DiffOp:
                     dg = g.diff_multi(c)
                     if dg:
                         midx = tuple(a - cc + b for a, cc, b in zip(m, c, j))
-                        _add_product(acc, midx, f, dg, -w)
+                        add_product(acc.setdefault(midx, {}), f.terms, dg.terms, -w)
         tab = self.table
         return DiffOp(tab, {midx: Poly(tab, bucket) for midx, bucket in acc.items()})
 

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from contactsym.diffop import DiffOp
@@ -117,6 +117,36 @@ def test_apply_examples():
     euler = DiffOp.partial(TAB, "p1", x)
     assert euler.apply(x**3) == (x**3).scale(3)
     assert DiffOp.identity(TAB).apply(x * var("q1")) == x * var("q1")
+
+
+def apply_by_running_sum(op, a):
+    """The reference for DiffOp.apply: every term, added to a running sum."""
+    out = Poly.zero(op.table)
+    for midx, coeff in op.terms.items():
+        d = a.diff_multi(midx)
+        if d:
+            out = out + coeff * d
+    return out
+
+
+orders = st.tuples(*[st.integers(0, 3)] * TAB.size)
+polys_to_3 = st.dictionaries(orders, coefficient, max_size=4).map(lambda t: Poly(TAB, t))
+P1, P1P1, P1P1P1 = [tuple(k if i == 0 else 0 for i in range(TAB.size)) for k in (1, 2, 3)]
+P1Q1 = tuple(int(i in (0, 1)) for i in range(TAB.size))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(orders, polys(2), max_size=4).map(lambda t: DiffOp(TAB, t)), polys_to_3)
+# The zero input; d_p1^3 over the cap in the p1 slot only; d_p1 d_q1 within
+# the cap (1, 1) of p1 + q1 whose derivative still vanishes.
+@example(DiffOp(TAB, {P1: var("q1"), P1P1P1: var("t")}), Poly.zero(TAB))
+@example(DiffOp(TAB, {P1P1P1: var("t"), P1P1: const(2), P1: var("p1")}),
+         var("p1") ** 2 * var("q1") ** 3)
+@example(DiffOp(TAB, {P1Q1: var("t"), P1: const(1)}), var("p1") + var("q1"))
+def test_apply_matches_running_sum(op, a):
+    # Orders up to 3 against exponents up to 3: most terms exceed the cap
+    # in some slot and are skipped.
+    assert op.apply(a) == apply_by_running_sum(op, a)
 
 
 def test_canonical_commutation():

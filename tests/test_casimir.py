@@ -15,12 +15,14 @@ from contactsym.casimir import (
     casimir_terms,
     closed_form_casimir,
     extract_scalar,
+    image_columns,
     monomial_family,
     expansion_constants,
     diagonalization_witness,
     verify_diagonal_form,
 )
 from contactsym.contact import sp_basis
+from contactsym.diffop import DiffOp
 from contactsym.linalg import exact_nullspace
 from contactsym.operators import decompose
 from contactsym.poly import Poly
@@ -147,6 +149,66 @@ def test_casimir_matrix_cases():
 def restricted_n2k3(request):
     # At -5/6 the base-degree-2 span keeps 534 monomials, at 1/3 only 46.
     return _matrix(2, 3, request.param, 2)
+
+
+def _applied(op, exp):
+    """The column op(x^a xi^b) by DiffOp.apply: the oracle for image_columns."""
+    return op.apply(Poly.monomial(op.table, exp)).terms
+
+
+_R1 = RModule(1, 0, Fraction(0)).table
+
+
+@st.composite
+def _order_two_ops(draw):
+    """Random operators of order <= 2 on the n = 1 R-table, base and fiber slots alike."""
+    slots = st.lists(st.integers(0, _R1.size - 1), max_size=2).map(
+        lambda idx: tuple(idx.count(i) for i in range(_R1.size))
+    )
+    coeff = st.dictionaries(
+        slots, st.fractions(min_value=-3, max_value=3, max_denominator=3), max_size=3
+    ).map(lambda terms: Poly(_R1, terms))
+    return DiffOp(_R1, draw(st.dictionaries(slots, coeff, min_size=1, max_size=4)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 3), st.integers(0, 2),
+    st.fractions(min_value=-3, max_value=3, max_denominator=7), _order_two_ops(),
+)
+def test_image_columns_match_apply(k, base_degree, delta, op):
+    # Base degree 2 against base derivatives of order <= 2 reaches both a
+    # falling factorial above 1 and derivatives the exponents cannot absorb.
+    if delta in critical_set(k, 1):
+        delta += 7
+    family = monomial_family(1, k, base_degree)[1]
+    cas = assemble_casimir(1, k, delta)
+    for operator in (cas, op):
+        images = image_columns(operator, k, family)
+        assert images == {exp: _applied(operator, exp) for exp in family}
+
+
+def test_casimir_columns_match_apply_534_family():
+    delta = Fraction(-5, 6)
+    cas = assemble_casimir(2, 3, delta)
+    restricted = casimir_matrix(cas, 2, 3, delta, 2)
+    assert len(restricted.family) == 534
+    for exp in restricted.family:
+        assert restricted.images[exp] == _applied(cas, exp)
+
+
+def test_casimir_matrix_makes_no_apply_call(monkeypatch):
+    # The columns come from the restricted form: a later edit that falls
+    # back to applying the Casimir per monomial fails here, not only slower.
+    def refuse(*_):
+        raise AssertionError("DiffOp.apply called")
+
+    delta = Fraction(1, 3)
+    cas = assemble_casimir(2, 3, delta)
+    monkeypatch.setattr(DiffOp, "apply", refuse)
+    restricted = casimir_matrix(cas, 2, 3, delta, 2)
+    assert len(restricted.family) == 46
+    assert restricted.annihilated_by_spectrum()
 
 
 def test_eigenspaces_fill_the_family_n2k3(restricted_n2k3):

@@ -242,6 +242,7 @@ def test_diophantine_kappa3_verified(capsys):
     assert res["system_solution_matches"] is True
     assert res["relations_hold"] is True
     assert res["delta_critical"] is False and res["deltap_critical"] is False
+    assert res["injective"] is True
 
 
 def test_diophantine_kappa3_relations_fail_exit_1(capsys):
@@ -257,6 +258,8 @@ def test_diophantine_kappa3_relations_fail_exit_1(capsys):
     res = doc["results"]
     assert res["system_solution_matches"] is True and res["relations_hold"] is False
     assert res["delta_critical"] is True and res["deltap_critical"] is False
+    # admissible_pairs raises at the critical delta = 0; nothing is reported.
+    assert res["injective"] is None
 
 
 @pytest.mark.parametrize("argv, block", [
